@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -31,14 +32,15 @@ def _load_graph(path: str) -> Graph:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
 
 
 def _count_payload(g: Graph, eps: float) -> dict:
     result = estimate_count(g, eps)
     log_value = result.log_value if result.value > 0.0 else None
+    # past float range the count is inf; log_count still carries it
     return {
-        "count": result.value,
+        "count": result.value if math.isfinite(result.value) else None,
         "log_count": log_value,
         "epsilon": eps,
         "depth": result.depth_used,

@@ -7,17 +7,24 @@ whichever of its endpoints still exist); the count is the reciprocal of
 the product.  A depth budget derived from the edge count and the
 requested accuracy makes the result a (1 +/- eps) approximation of the
 true count.
+
+``estimate_count`` runs this product on one estimator workspace, built
+once: each edge is estimated, then conditioned in place
+(``estimator.chain_marginals``).  ``elimination_chain`` spells out the
+same sequence as persistent graphs; it is the readable reference that
+the tests compare the fast path against, not part of it.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .estimator import TraceFn, estimate_marginal
+# estimate_marginal stays in this namespace as the reference path (over
+# elimination_chain(g) it gives chain_marginals(g) exactly), and
+# perfbench's tracer wraps counter.estimate_marginal by name.
+from .estimator import TraceFn, chain_marginals, estimate_marginal  # noqa: F401
 from .graph import Graph
 
 
@@ -43,7 +50,10 @@ def elimination_chain(g: Graph) -> list[tuple[Graph, int]]:
 
     The first working graph is g itself; each later one drops the
     previous edge and detaches its remaining endpoints (one for a
-    dangling edge, none for a free one).
+    dangling edge, none for a free one).  This is the reference form of
+    the conditioning: ``estimate_count`` does not build it, but gets the
+    same marginals by conditioning one workspace in place.  It costs
+    O(m * (n + m)) for the m graph copies.
     """
     out = []
     cur = g
@@ -54,23 +64,6 @@ def elimination_chain(g: Graph) -> list[tuple[Graph, int]]:
         for v in ends:
             cur = cur.detach_vertex(v)
     return out
-
-
-def worker_count() -> int:
-    """Parallelism cap from EC_THREADS; 0 or unset selects auto.
-
-    Auto is single-threaded: the recursion is pure-Python CPU work, so
-    extra threads add no speed under the GIL.  Results are identical for
-    any setting because marginals are pure and combined in a fixed order.
-    """
-    raw = os.environ.get("EC_THREADS", "0").strip() or "0"
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"EC_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ValueError(f"EC_THREADS must be nonnegative, got {n}")
-    return n if n > 0 else 1
 
 
 @dataclass(frozen=True)
@@ -87,7 +80,8 @@ def estimate_count(g: Graph, eps: float, on_node: Optional[TraceFn] = None) -> A
     """Estimate the number of edge covers to relative accuracy eps.
 
     A graph with an isolated vertex has no covers and yields 0; the empty
-    graph has exactly the empty cover and yields 1.
+    graph has exactly the empty cover and yields 1.  A count past float
+    range has value inf; its log_value stays finite.
     """
     _check_epsilon(eps)
     if g.has_isolated_vertex():
@@ -97,13 +91,8 @@ def estimate_count(g: Graph, eps: float, on_node: Optional[TraceFn] = None) -> A
         return ApproxCount(1.0, 0.0, 0, ())
 
     depth = depth_for(m, eps)
-    chain = elimination_chain(g)
-    workers = worker_count()
-    if workers > 1 and on_node is None:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ps = list(pool.map(lambda ge: estimate_marginal(ge[0], ge[1], depth), chain))
-    else:
-        ps = [estimate_marginal(gi, ei, depth, on_node) for gi, ei in chain]
+    marginals = tuple(chain_marginals(g, depth, on_node))
+    ps = [p for _, p in marginals]
 
     # log-space sum is the robust record; the direct product (exact while it
     # stays normal, every factor being >= 1/2) preserves identities such as
@@ -112,5 +101,7 @@ def estimate_count(g: Graph, eps: float, on_node: Optional[TraceFn] = None) -> A
     prod = 1.0
     for p in ps:
         prod *= 1.0 - p
-    value = 1.0 / prod if prod > 0.0 else math.exp(log_value)
-    return ApproxCount(value, log_value, depth, tuple(zip((e for _, e in chain), ps)))
+    # Past float range 1/prod is inf.  prod underflows to 0 only below
+    # about 5e-324, a count far past float range, so that is inf too.
+    value = 1.0 / prod if prod > 0.0 else math.inf
+    return ApproxCount(value, log_value, depth, marginals)

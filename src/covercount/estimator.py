@@ -13,10 +13,15 @@
 
 A depth budget of L certifies the result to within 3 * (1/2)^(L+1) of
 the true marginal.  Every value produced lies in [0, 1/2].
+
+``chain_marginals(g, depth)`` runs the same recursion for every edge of
+the counter's elimination order on one shared workspace, conditioning
+each edge in place once it is estimated.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Callable, Iterable, Optional
 
 from .graph import EdgeKind, Graph
@@ -145,8 +150,10 @@ class _Workspace:
     """Mutable scratch copy of a graph with an undo log.
 
     The recursion visits many overlapping subinstances; mutate-and-rewind
-    avoids rebuilding adjacency dicts per node.  Not part of the public
-    persistent-value contract.
+    avoids rebuilding adjacency dicts per node.  Every endpoint list stays
+    in ascending order, as in ``Graph``, through any sequence of logged
+    mutations and rewinds, so a normal edge always reads back as (u, v)
+    with u < v.  Not part of the public persistent-value contract.
     """
 
     __slots__ = ("endpoints", "adj", "_log")
@@ -170,7 +177,7 @@ class _Workspace:
             else:
                 self.adj[key] = saved
                 for e in saved:
-                    self.endpoints[e].append(key)
+                    insort(self.endpoints[e], key)
 
     def remove_edge(self, e: int) -> None:
         ends = self.endpoints.pop(e)
@@ -183,6 +190,14 @@ class _Workspace:
         for e in edges:
             self.endpoints[e].remove(u)
         self._log.append(("v", u, edges))
+
+    def condition(self, e: int) -> None:
+        """Put e into the cover for good: drop it and detach its remaining
+        endpoints, without an undo-log entry."""
+        for u in self.endpoints.pop(e):
+            for x in self.adj.pop(u):
+                if x != e:
+                    self.endpoints[x].remove(u)
 
 
 def _recurse(ws: _Workspace, e: int, depth: int, on_node: Optional[TraceFn]) -> float:
@@ -257,3 +272,21 @@ def estimate_marginal(g: Graph, e: int, depth: int, on_node: Optional[TraceFn] =
     if not g.has_edge(e):
         raise KeyError(f"unknown edge id {e}")
     return _recurse(_Workspace(g), e, depth, on_node)
+
+
+def chain_marginals(g: Graph, depth: int, on_node: Optional[TraceFn] = None) -> list[tuple[int, float]]:
+    """(edge, estimate) for every edge of g in ascending id order.
+
+    Each edge is estimated in the graph left after conditioning every
+    earlier edge into the cover, so the result equals
+    ``[(e, estimate_marginal(h, e, depth, on_node)) for h, e in
+    elimination_chain(g)]`` bit for bit, node for node.  It runs on one
+    workspace built once: after each estimate the edge is conditioned in
+    place, which keeps the whole chain O(n + m) outside the recursion.
+    """
+    ws = _Workspace(g)
+    out = []
+    for e in g.edge_ids:
+        out.append((e, _recurse(ws, e, depth, on_node)))
+        ws.condition(e)
+    return out

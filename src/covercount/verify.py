@@ -58,15 +58,25 @@ def _marginal_sweep(corpus):
             yield g, e, exact, estimates
 
 
-def decay_suite(corpus) -> list[SuiteResult]:
+def marginal_suites(corpus) -> list[SuiteResult]:
+    """The decay-bound, dangling/free decay-bound and half-bound suites.
+
+    One streaming pass over ``_marginal_sweep`` feeds all three, so every
+    oracle and estimator call of the sweep runs once.
+    """
     worst = -1.0
     worst_bound = 0.0
     worst_sharp = -1.0
     worst_sharp_bound = 0.0
+    hi = 0.0
+    lo = 0.0
     ok = True
     ok_sharp = True
+    ok_half = True
     for g, e, exact, estimates in _marginal_sweep(corpus):
         sharp = g.classify(e) is not EdgeKind.NORMAL
+        if exact < 0 or exact * 2 > 1:
+            ok_half = False
         for L, est in estimates.items():
             err = abs(est - float(exact))
             bound = 3.0 * 0.5 ** (L + 1)
@@ -80,6 +90,10 @@ def decay_suite(corpus) -> list[SuiteResult]:
                     worst_sharp, worst_sharp_bound = err, bound1
                 if err > bound1 + FLOAT_SLACK:
                     ok_sharp = False
+            hi = max(hi, est)
+            lo = min(lo, est)
+            if not 0.0 <= est <= 0.5 + HALF_SLACK:
+                ok_half = False
     return [
         SuiteResult("decay-bound", ok, f"worst_err={worst:.3e} bound_at_worst={worst_bound:.3e}"),
         SuiteResult(
@@ -87,22 +101,8 @@ def decay_suite(corpus) -> list[SuiteResult]:
             ok_sharp,
             f"worst_err={worst_sharp:.3e} bound_at_worst={worst_sharp_bound:.3e}",
         ),
+        SuiteResult("half-bound", ok_half, f"max_estimate={hi!r} min_estimate={lo!r}"),
     ]
-
-
-def half_bound_suite(corpus) -> SuiteResult:
-    hi = 0.0
-    lo = 0.0
-    ok = True
-    for g, e, exact, estimates in _marginal_sweep(corpus):
-        if exact < 0 or exact * 2 > 1:
-            ok = False
-        for est in estimates.values():
-            hi = max(hi, est)
-            lo = min(lo, est)
-            if not 0.0 <= est <= 0.5 + HALF_SLACK:
-                ok = False
-    return SuiteResult("half-bound", ok, f"max_estimate={hi!r} min_estimate={lo!r}")
 
 
 def fptas_suite(corpus, epsilons) -> list[SuiteResult]:
@@ -219,8 +219,7 @@ def run_verification(
     trials: int = 20_000,
 ) -> list[SuiteResult]:
     corpus = verification_corpus(max_edges, seed, instances)
-    results = decay_suite(corpus)
-    results.append(half_bound_suite(corpus))
+    results = marginal_suites(corpus)
     results.extend(fptas_suite(corpus, epsilons))
     results.append(identity_suite(corpus))
     results.extend(sensitivity_bounds_suite(seed + 1, trials))

@@ -67,3 +67,11 @@ def random_small_graph(rng: random.Random, max_vertices: int = 6, max_edges: int
                 v += 1
             ends.append((u, v))
     return Graph.from_edges(ends)
+
+
+def lucas(n: int) -> int:
+    """Lucas number L(n): the edge-cover count of the n-cycle, in exact integers."""
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a

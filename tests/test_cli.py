@@ -1,10 +1,14 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from conftest import lucas
 from covercount.cli import main
+from covercount.generate import cycle_graph
+from covercount.graph import format_graph
 
 C4_TEXT = "v 0\nv 1\nv 2\nv 3\ne 0 0 1\ne 1 1 2\ne 2 2 3\ne 3 3 0\n"
 CNF_TEXT = "p cnf 3 2\n1 2 0\n2 3 0\n"
@@ -70,6 +74,27 @@ class TestCount:
         assert payload["count"] == 0.0
         assert payload["log_count"] is None
         assert payload["isolated"] is True
+
+    @pytest.mark.parametrize(
+        "text, log_exact",
+        [
+            (format_graph(cycle_graph(2000)), math.log(lucas(2000))),
+            ("".join(f"f {i}\n" for i in range(1100)), 1100 * math.log(2)),
+        ],
+        ids=["cycle2000", "free1100"],
+    )
+    def test_past_float_range_reports_null_count(self, capsys, tmp_path, text, log_exact):
+        path = tmp_path / "big.graph"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "count", str(path), "--epsilon", "0.2")
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["count"] is None
+        assert abs(math.expm1(payload["log_count"] - log_exact)) <= 0.2
 
     def test_epsilon_validated(self, capsys, c4_file):
         with pytest.raises(SystemExit):

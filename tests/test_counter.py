@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from conftest import random_small_graph
-from covercount.counter import ApproxCount, depth_for, elimination_chain, estimate_count, worker_count
-from covercount.generate import cycle_graph
+from conftest import lucas, random_small_graph
+from covercount.counter import depth_for, elimination_chain, estimate_count
+from covercount.estimator import _Workspace, estimate_marginal
+from covercount.generate import cycle_graph, random_multigraph
 from covercount.graph import Graph
 from covercount.oracle import exact_count
 
@@ -147,36 +148,61 @@ class TestNodeBudget:
                 nonlocal nodes
                 nodes += 1
 
-            from covercount.estimator import estimate_marginal
-
             estimate_marginal(sub, e, depth, on_node=bump)
             assert nodes <= 6**depth
 
 
-class TestWorkerCount:
-    def test_defaults_to_sequential(self, monkeypatch):
-        monkeypatch.delenv("EC_THREADS", raising=False)
-        assert worker_count() == 1
-        monkeypatch.setenv("EC_THREADS", "0")
-        assert worker_count() == 1
+class TestSharedWorkspace:
+    def test_rewind_restores_a_fresh_workspace(self):
+        g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 1), (1,), ()])
+        fresh = _Workspace(g)
+        ws = _Workspace(g)
+        mark = ws.mark()
+        ws.remove_edge(1)
+        ws.detach_vertex(0)  # edges 0, 2, 3 lose their first endpoint
+        ws.detach_vertex(2)
+        ws.remove_edge(4)
+        ws.rewind(mark)
+        assert ws.endpoints == fresh.endpoints
+        assert ws.adj == fresh.adj
+        assert ws.mark() == mark
 
-    def test_explicit_cap(self, monkeypatch):
-        monkeypatch.setenv("EC_THREADS", "3")
-        assert worker_count() == 3
+    def test_condition_leaves_the_next_chain_graph_and_no_log(self):
+        g = random_multigraph(1656, max_edges=14)
+        ws = _Workspace(g)
+        for h, e in elimination_chain(g):
+            ref = _Workspace(h)
+            assert ws.endpoints == ref.endpoints
+            assert ws.adj == ref.adj
+            ws.condition(e)
+            assert ws.mark() == 0
 
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("EC_THREADS", "many")
-        with pytest.raises(ValueError):
-            worker_count()
-        monkeypatch.setenv("EC_THREADS", "-2")
-        with pytest.raises(ValueError):
-            worker_count()
+    def test_marginals_and_nodes_match_the_elimination_chain(self):
+        # Seeds 1656, 1929 and 1995 differ if rewinding reorders an
+        # endpoint list, because a later root then reads (v, u) as (u, v).
+        mismatched = []
+        for seed in range(3000):
+            g = random_multigraph(seed, max_edges=14)
+            for eps in (0.5, 0.2, 0.1):
+                shared_nodes, chain_nodes = [], []
+                result = estimate_count(g, eps, on_node=lambda *a: shared_nodes.append(a))
+                depth = result.depth_used
+                chain = tuple(
+                    (e, estimate_marginal(h, e, depth, on_node=lambda *a: chain_nodes.append(a)))
+                    for h, e in elimination_chain(g)
+                )
+                if result.marginals != chain or shared_nodes != chain_nodes:
+                    mismatched.append((seed, eps))
+        assert mismatched == []
 
-    def test_threaded_run_matches_sequential(self, monkeypatch):
-        g = cycle_graph(7)
-        monkeypatch.setenv("EC_THREADS", "0")
-        sequential = estimate_count(g, 0.2)
-        monkeypatch.setenv("EC_THREADS", "4")
-        threaded = estimate_count(g, 0.2)
-        assert isinstance(threaded, ApproxCount)
-        assert threaded == sequential
+
+class TestBeyondFloatRange:
+    def test_value_is_inf_with_a_finite_log(self):
+        result = estimate_count(Graph.from_edges([()] * 1100), 0.2)
+        assert result.value == math.inf
+        assert result.log_value == pytest.approx(1100 * math.log(2), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2000, 16000])
+    def test_cycle_log_count_within_eps_of_lucas(self, n):
+        result = estimate_count(cycle_graph(n), 0.2)
+        assert abs(result.log_value - math.log(lucas(n))) <= math.log1p(0.2)
