@@ -1,14 +1,18 @@
-"""Best-of-N wall time of ``estimate_count`` on n-cycles, for one or more checkouts.
+"""Best-of-N wall time of ``estimate_count`` on cycles, grids and complete
+graphs, for one or more checkouts.
 
-    python scripts/bench_cycles.py --out BENCH_single_workspace.json \\
-        --side parent=../parent/src:250,500,1000 --side change=src:1000,4000,16000
+    python scripts/bench_cycles.py --out BENCH_flat_workspace.json \\
+        --side parent=../parent/src:grid6x6,k8,cycle1000 \\
+        --side change=src:grid6x6,k8,cycle1000
 
-Each ``--side LABEL=SRC:SIZES`` names a checkout's ``src`` directory and
-the cycle sizes to run on it.  Every (side, n) runs in a fresh
-interpreter with that ``src`` on PYTHONPATH: one untimed count with an
-``on_node`` counter gives the recursion node total, then ``--repeats``
-timed counts give the best wall time.  The output records the
-machine's ``nproc`` and the Python version with the rows.
+Each ``--side LABEL=SRC:INSTANCES`` names a checkout's ``src`` directory
+and the instances to run on it: ``cycle<n>`` (a bare ``<n>`` means the
+same), ``grid<r>x<c>`` and ``k<n>``.  The sides take turns, instance by
+instance.  Every (side, instance) runs in a fresh interpreter with that
+``src`` on PYTHONPATH: one untimed count with an ``on_node`` counter
+gives the recursion node total, then ``--repeats`` timed counts give the
+best wall time.  The output records the machine's ``nproc`` and the
+Python version with the rows.
 """
 
 from __future__ import annotations
@@ -23,12 +27,32 @@ import time
 from pathlib import Path
 
 
-def measure(n: int, eps: float, repeats: int) -> dict:
+def build(instance: str):
+    """The graph an instance name stands for, built in the child interpreter."""
+    from covercount.generate import cycle_graph
+    from covercount.graph import Graph
+
+    name = instance.lower()
+    if name.isdigit():
+        return cycle_graph(int(name))
+    if name.startswith("cycle"):
+        return cycle_graph(int(name[5:]))
+    if name.startswith("grid"):
+        r, c = (int(tok) for tok in name[4:].split("x"))
+        edges = [(i * c + j, i * c + j + 1) for i in range(r) for j in range(c - 1)]
+        edges += [(i * c + j, (i + 1) * c + j) for i in range(r - 1) for j in range(c)]
+        return Graph.from_edges(edges)
+    if name.startswith("k"):
+        n = int(name[1:])
+        return Graph.from_edges([(i, j) for i in range(n) for j in range(i + 1, n)])
+    raise ValueError(f"unknown instance {instance!r}; expected cycle<n>, grid<r>x<c> or k<n>")
+
+
+def measure(instance: str, eps: float, repeats: int) -> dict:
     """Run inside the child interpreter."""
     from covercount.counter import estimate_count
-    from covercount.generate import cycle_graph
 
-    g = cycle_graph(n)
+    g = build(instance)
     nodes = 0
 
     def bump(*_):
@@ -43,7 +67,8 @@ def measure(n: int, eps: float, repeats: int) -> dict:
         walls.append(time.perf_counter() - start)
     best = min(walls)
     return {
-        "n": n,
+        "instance": instance,
+        "n": g.vertex_count,
         "m": g.edge_count,
         "depth": result.depth_used,
         "nodes": nodes,
@@ -54,13 +79,13 @@ def measure(n: int, eps: float, repeats: int) -> dict:
     }
 
 
-def run_child(src: Path, n: int, eps: float, repeats: int) -> dict:
+def run_child(src: Path, instance: str, eps: float, repeats: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()), PYTHONHASHSEED="0")
-    cmd = [sys.executable, __file__, "--child", str(n), "--epsilon", str(eps), "--repeats", str(repeats)]
+    cmd = [sys.executable, __file__, "--child", instance, "--epsilon", str(eps), "--repeats", str(repeats)]
     proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         last = proc.stderr.strip().splitlines()[-1] if proc.stderr.strip() else f"exit {proc.returncode}"
-        return {"n": n, "error": last}
+        return {"instance": instance, "error": last}
     return json.loads(proc.stdout)
 
 
@@ -77,35 +102,39 @@ def git_state(src: Path) -> dict:
     }
 
 
-def parse_side(spec: str) -> tuple[str, Path, list[int]]:
+def parse_side(spec: str) -> tuple[str, Path, list[str]]:
     label, rest = spec.split("=", 1)
-    src, sizes = rest.rsplit(":", 1)
-    return label, Path(src), [int(tok) for tok in sizes.split(",") if tok]
+    src, instances = rest.rsplit(":", 1)
+    return label, Path(src), [tok for tok in instances.split(",") if tok]
 
 
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--side", action="append", type=parse_side, default=[], help="LABEL=SRC:N1,N2,...")
+    p.add_argument("--side", action="append", type=parse_side, default=[], help="LABEL=SRC:INSTANCE,...")
     p.add_argument("--epsilon", type=float, default=0.2)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--out", type=Path)
-    p.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    p.add_argument("--child", help=argparse.SUPPRESS)
     args = p.parse_args()
 
     if args.child is not None:
         print(json.dumps(measure(args.child, args.epsilon, args.repeats)))
         return 0
 
+    sides = {label: git_state(src) for label, src, _ in args.side}
+    # i-th instance of every side, then the (i+1)-th: a drift in machine
+    # speed then hits the sides alike instead of one side's whole list
+    jobs = sorted(
+        ((i, label, src, instance) for label, src, instances in args.side for i, instance in enumerate(instances)),
+        key=lambda job: job[0],
+    )
     rows = []
-    sides = {}
-    for label, src, sizes in args.side:
-        sides[label] = git_state(src)
-        for n in sizes:
-            row = {"side": label, **run_child(src, n, args.epsilon, args.repeats)}
-            print(json.dumps(row), file=sys.stderr)
-            rows.append(row)
+    for _, label, src, instance in jobs:
+        row = {"side": label, **run_child(src, instance, args.epsilon, args.repeats)}
+        print(json.dumps(row), file=sys.stderr)
+        rows.append(row)
     record = {
-        "what": f"best-of-{args.repeats} wall time of estimate_count(cycle_graph(n), {args.epsilon})",
+        "what": f"best-of-{args.repeats} wall time of estimate_count(g, {args.epsilon})",
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "machine": platform.machine(),

@@ -42,6 +42,7 @@ def _count_payload(g: Graph, eps: float) -> dict:
     return {
         "count": result.value if math.isfinite(result.value) else None,
         "log_count": log_value,
+        "log10_count": log_value / math.log(10) if log_value is not None else None,
         "epsilon": eps,
         "depth": result.depth_used,
         "m": g.edge_count,
@@ -214,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, RecursionError, ArithmeticError) as exc:
         msg = exc.args[0] if exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return 1

@@ -14,14 +14,19 @@
 A depth budget of L certifies the result to within 3 * (1/2)^(L+1) of
 the true marginal.  Every value produced lies in [0, 1/2].
 
+The recursion never builds a subgraph.  It walks a live view of the
+input graph (``_Workspace``): the graph's own immutable endpoint and
+incidence maps plus one live flag per edge and per vertex.  A branch
+clears the flags of what it removes and sets them again before it
+returns, so the input is never written and there is no undo log.
+
 ``chain_marginals(g, depth)`` runs the same recursion for every edge of
 the counter's elimination order on one shared workspace, conditioning
-each edge in place once it is estimated.
+each edge in place (clearing its flags for good) once it is estimated.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import Callable, Iterable, Optional
 
 from .graph import EdgeKind, Graph
@@ -147,115 +152,97 @@ def normal_subinstances(
 
 
 class _Workspace:
-    """Mutable scratch copy of a graph with an undo log.
+    """Live view of a graph for the recursion: the graph's own maps plus flags.
 
-    The recursion visits many overlapping subinstances; mutate-and-rewind
-    avoids rebuilding adjacency dicts per node.  Every endpoint list stays
-    in ascending order, as in ``Graph``, through any sequence of logged
-    mutations and rewinds, so a normal edge always reads back as (u, v)
-    with u < v.  Not part of the public persistent-value contract.
+    ``ends`` (edge -> sorted endpoint tuple) and ``inc`` (vertex -> incident
+    edge tuple, ascending by id) are the input ``Graph``'s immutable maps,
+    shared and never written.  ``edge_live`` and ``vert_live`` say which
+    edges and vertices are still present.  An edge's live endpoints are its
+    static endpoints whose vertex is live, in ascending order, so a normal
+    edge always reads back as (u, v) with u < v; a live vertex's live
+    incident edges are the live entries of ``inc``, already in ascending id
+    order.  The recursion clears the flags of each branch and sets them
+    again before it returns.  Not part of the public persistent-value
+    contract.
     """
 
-    __slots__ = ("endpoints", "adj", "_log")
+    __slots__ = ("ends", "inc", "edge_live", "vert_live")
 
     def __init__(self, g: Graph):
-        self.endpoints = {e: list(g.endpoints(e)) for e in g.edge_ids}
-        self.adj = {v: set(g.incident_edges(v)) for v in g.vertices}
-        self._log: list[tuple[str, int, object]] = []
+        self.ends = g._edges
+        self.inc = g._adj
+        self.edge_live = dict.fromkeys(g._edges, True)
+        self.vert_live = dict.fromkeys(g._vertices, True)
 
-    def mark(self) -> int:
-        return len(self._log)
-
-    def rewind(self, mark: int) -> None:
-        log = self._log
-        while len(log) > mark:
-            op, key, saved = log.pop()
-            if op == "e":
-                self.endpoints[key] = saved
-                for u in saved:
-                    self.adj[u].add(key)
-            else:
-                self.adj[key] = saved
-                for e in saved:
-                    insort(self.endpoints[e], key)
-
-    def remove_edge(self, e: int) -> None:
-        ends = self.endpoints.pop(e)
-        for u in ends:
-            self.adj[u].discard(e)
-        self._log.append(("e", e, ends))
-
-    def detach_vertex(self, u: int) -> None:
-        edges = self.adj.pop(u)
-        for e in edges:
-            self.endpoints[e].remove(u)
-        self._log.append(("v", u, edges))
+    def live_ends(self, e: int) -> list[int]:
+        vert_live = self.vert_live
+        return [u for u in self.ends[e] if vert_live[u]]
 
     def condition(self, e: int) -> None:
-        """Put e into the cover for good: drop it and detach its remaining
-        endpoints, without an undo-log entry."""
-        for u in self.endpoints.pop(e):
-            for x in self.adj.pop(u):
-                if x != e:
-                    self.endpoints[x].remove(u)
+        """Put e into the cover for good: drop it and detach its endpoints."""
+        self.edge_live[e] = False
+        for u in self.ends[e]:
+            self.vert_live[u] = False
 
 
 def _recurse(ws: _Workspace, e: int, depth: int, on_node: Optional[TraceFn]) -> float:
-    ends = ws.endpoints[e]
-    width = len(ends)
     if depth <= 0:
         if on_node is not None:
-            on_node(depth, e, _KINDS[width], "base")
+            on_node(depth, e, _KINDS[len(ws.live_ends(e))], "base")
         return 0.5
-    if width == 0:
+    vert_live = ws.vert_live
+    ends = [u for u in ws.ends[e] if vert_live[u]]  # ws.live_ends(e), inlined on the hot path
+    if not ends:
         if on_node is not None:
             on_node(depth, e, EdgeKind.FREE, "free")
         return 0.5
 
-    if width == 1:
+    inc = ws.inc
+    edge_live = ws.edge_live
+    if len(ends) == 1:
         if on_node is not None:
             on_node(depth, e, EdgeKind.DANGLING, "dangling")
         u = ends[0]
-        others = sorted(ws.adj[u] - {e})
+        others = [x for x in inc[u] if edge_live[x] and x != e]
         child_depth = depth_discount(depth, len(others))
-        mark = ws.mark()
-        ws.remove_edge(e)
-        ws.detach_vertex(u)
+        edge_live[e] = vert_live[u] = False
         children = []
         for child in others:
             children.append(_recurse(ws, child, child_depth, on_node))
-            ws.remove_edge(child)
-        ws.rewind(mark)
+            edge_live[child] = False
+        for child in others:
+            edge_live[child] = True
+        edge_live[e] = vert_live[u] = True
         return dangling_combine(children)
 
     if on_node is not None:
         on_node(depth, e, EdgeKind.NORMAL, "normal")
     u, v = ends
-    at_u = sorted(ws.adj[u] - {e})
-    at_v = sorted(ws.adj[v] - {e})
-    mark = ws.mark()
-    ws.remove_edge(e)
-    ws.detach_vertex(u)
-    ws.detach_vertex(v)
-    core = ws.mark()
+    at_u = [x for x in inc[u] if edge_live[x] and x != e]
+    at_v = [x for x in inc[v] if edge_live[x] and x != e]
+    edge_live[e] = vert_live[u] = vert_live[v] = False
 
     x = 1.0
     for child in at_u:
         x *= _recurse(ws, child, depth, on_node)
-        ws.remove_edge(child)
+        edge_live[child] = False
     y = 1.0
-    shared = set(at_u)
     for child in at_v:
-        if child in shared:
-            continue  # conditioned away with u's edges; factor 1
+        if not edge_live[child]:
+            continue  # a parallel copy of e, conditioned away with u's edges; factor 1
         y *= _recurse(ws, child, depth, on_node)
-        ws.remove_edge(child)
-    ws.rewind(core)
+        edge_live[child] = False
+    for child in at_u:
+        edge_live[child] = True
+    for child in at_v:
+        edge_live[child] = True
     z = 1.0
     for child in at_v:
         z *= _recurse(ws, child, depth, on_node)
-        ws.remove_edge(child)
-    ws.rewind(mark)
+        edge_live[child] = False
+    for child in at_v:
+        edge_live[child] = True
+    edge_live[e] = vert_live[u] = vert_live[v] = True
     return normal_combine(x, y, z)
 
 

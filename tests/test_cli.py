@@ -6,8 +6,9 @@ import sys
 import pytest
 
 from conftest import lucas
+from covercount import cli
 from covercount.cli import main
-from covercount.generate import cycle_graph
+from covercount.generate import cycle_graph, path_graph
 from covercount.graph import format_graph
 
 C4_TEXT = "v 0\nv 1\nv 2\nv 3\ne 0 0 1\ne 1 1 2\ne 2 2 3\ne 3 3 0\n"
@@ -63,7 +64,7 @@ class TestCount:
     def test_c4_fields(self, capsys, c4_file):
         _, out, _ = run_cli(capsys, "count", c4_file, "--epsilon", "0.1")
         payload = json.loads(out)
-        assert set(payload) == {"count", "log_count", "epsilon", "depth", "m", "n", "isolated"}
+        assert set(payload) == {"count", "log_count", "log10_count", "epsilon", "depth", "m", "n", "isolated"}
         assert 6.3 <= payload["count"] <= 7.7
 
     def test_isolated_vertex_yields_zero_with_null_log(self, capsys, tmp_path):
@@ -73,6 +74,7 @@ class TestCount:
         payload = json.loads(out)
         assert payload["count"] == 0.0
         assert payload["log_count"] is None
+        assert payload["log10_count"] is None
         assert payload["isolated"] is True
 
     @pytest.mark.parametrize(
@@ -95,6 +97,14 @@ class TestCount:
         payload = json.loads(out, parse_constant=reject)
         assert payload["count"] is None
         assert abs(math.expm1(payload["log_count"] - log_exact)) <= 0.2
+
+    def test_log10_count_of_cycle2000_within_eps_of_lucas(self, capsys, tmp_path):
+        path = tmp_path / "cycle2000.graph"
+        path.write_text(format_graph(cycle_graph(2000)))
+        _, out, _ = run_cli(capsys, "count", str(path), "--epsilon", "0.2")
+        payload = json.loads(out)
+        assert payload["log10_count"] == payload["log_count"] / math.log(10)
+        assert abs(payload["log10_count"] - math.log10(lucas(2000))) <= math.log10(1.2)
 
     def test_epsilon_validated(self, capsys, c4_file):
         with pytest.raises(SystemExit):
@@ -144,6 +154,7 @@ class TestFromCnf:
         assert payload["vars"] == 3 and payload["clauses"] == 2
         assert payload["exact"] == "5"
         assert 4.5 <= payload["count"] <= 5.5
+        assert payload["log10_count"] == pytest.approx(math.log10(payload["count"]), rel=1e-12)
 
     def test_bad_formula_diagnostic(self, capsys, tmp_path):
         path = tmp_path / "bad.cnf"
@@ -206,6 +217,27 @@ class TestErrorPaths:
         assert code == 1
         assert out == ""
         assert "undeclared vertex" in err
+
+
+    def test_recursion_too_deep_is_a_one_line_error(self, capsys, tmp_path):
+        # edge 0 of a long path starts a chain of dangling edges one frame each
+        path = tmp_path / "path3000.graph"
+        path.write_text(format_graph(path_graph(3001)))
+        code, out, err = run_cli(capsys, "marginal", str(path), "--edge", "0", "--depth", "5000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: maximum recursion depth exceeded")
+        assert len(err.splitlines()) == 1
+
+    def test_arithmetic_error_is_a_one_line_error(self, capsys, c4_file, monkeypatch):
+        def overflow(*_):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(cli, "estimate_count", overflow)
+        code, out, err = run_cli(capsys, "count", c4_file, "--epsilon", "0.2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: math range error\n"
 
 
 def test_module_entry_point(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import lucas, random_small_graph
 from covercount.counter import depth_for, elimination_chain, estimate_count
-from covercount.estimator import _Workspace, estimate_marginal
+from covercount.estimator import _recurse, _Workspace, estimate_marginal
 from covercount.generate import cycle_graph, random_multigraph
 from covercount.graph import Graph
 from covercount.oracle import exact_count
@@ -152,30 +152,37 @@ class TestNodeBudget:
             assert nodes <= 6**depth
 
 
-class TestSharedWorkspace:
-    def test_rewind_restores_a_fresh_workspace(self):
-        g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 1), (1,), ()])
-        fresh = _Workspace(g)
-        ws = _Workspace(g)
-        mark = ws.mark()
-        ws.remove_edge(1)
-        ws.detach_vertex(0)  # edges 0, 2, 3 lose their first endpoint
-        ws.detach_vertex(2)
-        ws.remove_edge(4)
-        ws.rewind(mark)
-        assert ws.endpoints == fresh.endpoints
-        assert ws.adj == fresh.adj
-        assert ws.mark() == mark
+def live_view(ws):
+    """The graph a workspace currently stands for, in the form of graph_view."""
+    edges = {e: tuple(ws.live_ends(e)) for e, live in ws.edge_live.items() if live}
+    adj = {u: tuple(e for e in ws.inc[u] if ws.edge_live[e]) for u, live in ws.vert_live.items() if live}
+    return edges, adj
 
-    def test_condition_leaves_the_next_chain_graph_and_no_log(self):
+
+def graph_view(g):
+    return {e: g.endpoints(e) for e in g.edge_ids}, {u: g.incident_edges(u) for u in g.vertices}
+
+
+class TestSharedWorkspace:
+    def test_recurse_restores_every_flag(self):
+        # parallel (0, 3), dangling (4) and free (5) edges; every top-level
+        # call, on the fresh workspace and after each conditioning step
+        g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 1), (1,), ()])
+        ws = _Workspace(g)
+        for e in g.edge_ids:
+            for depth in (0, 1, 2, 5, 9):
+                edge_live, vert_live = dict(ws.edge_live), dict(ws.vert_live)
+                _recurse(ws, e, depth, None)
+                assert ws.edge_live == edge_live
+                assert ws.vert_live == vert_live
+            ws.condition(e)
+
+    def test_condition_leaves_the_next_chain_graph(self):
         g = random_multigraph(1656, max_edges=14)
         ws = _Workspace(g)
         for h, e in elimination_chain(g):
-            ref = _Workspace(h)
-            assert ws.endpoints == ref.endpoints
-            assert ws.adj == ref.adj
+            assert live_view(ws) == graph_view(h)
             ws.condition(e)
-            assert ws.mark() == 0
 
     def test_marginals_and_nodes_match_the_elimination_chain(self):
         # Seeds 1656, 1929 and 1995 differ if rewinding reorders an
@@ -194,6 +201,23 @@ class TestSharedWorkspace:
                 if result.marginals != chain or shared_nodes != chain_nodes:
                     mismatched.append((seed, eps))
         assert mismatched == []
+
+
+class TestInputUnchanged:
+    def test_counting_never_writes_the_graph(self):
+        # the workspace shares the graph's own maps, so a write would show here
+        graphs = [Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 1), (1,), ()])]
+        graphs += [random_multigraph(seed, max_edges=14) for seed in range(40)]
+        for g in graphs:
+            copy = Graph(g.vertices, [(e, g.endpoints(e)) for e in g.edge_ids])
+            incident = {u: g.incident_edges(u) for u in g.vertices}
+            ends = {e: g.endpoints(e) for e in g.edge_ids}
+            estimate_count(g, 0.2)
+            for e in g.edge_ids:
+                estimate_marginal(g, e, 6)
+            assert g == copy
+            assert {u: g.incident_edges(u) for u in g.vertices} == incident
+            assert {e: g.endpoints(e) for e in g.edge_ids} == ends
 
 
 class TestBeyondFloatRange:
