@@ -216,7 +216,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, RecursionError, ArithmeticError) as exc:
-        msg = exc.args[0] if exc.args else exc
+        # str() of a KeyError quotes its key
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return 1
 

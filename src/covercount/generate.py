@@ -2,8 +2,8 @@
 
 The random generator is the replay contract for `verify` and the test
 corpora: a seed fully determines the instance.  Construction per edge
-slot: free with probability ``free_prob``, dangling at a uniform vertex
-with probability ``dangling_prob``, otherwise a uniform unordered pair
+slot: free with probability ``FREE_PROB``, dangling at a uniform vertex
+with probability ``DANGLING_PROB``, otherwise a uniform unordered pair
 of distinct vertices (repeats allowed, so parallel edges occur).
 Vertices that end up with no incident edge slot are dropped, so sampled
 graphs always have at least one edge cover.
@@ -14,6 +14,9 @@ from __future__ import annotations
 import random
 
 from .graph import Graph
+
+DANGLING_PROB = 0.2
+FREE_PROB = 0.1
 
 
 def cycle_graph(n: int) -> Graph:
@@ -35,22 +38,16 @@ def star_graph(n: int) -> Graph:
     return Graph.from_edges([(0, i) for i in range(1, n)])
 
 
-def random_multigraph(
-    seed: int,
-    max_vertices: int = 7,
-    max_edges: int = 14,
-    dangling_prob: float = 0.2,
-    free_prob: float = 0.1,
-) -> Graph:
+def random_multigraph(seed: int, max_vertices: int = 7, max_edges: int = 14) -> Graph:
     rng = random.Random(seed)
     n = rng.randint(1, max_vertices)
     m = rng.randint(1, max_edges)
     ends: list[tuple[int, ...]] = []
     for _ in range(m):
         r = rng.random()
-        if r < free_prob:
+        if r < FREE_PROB:
             ends.append(())
-        elif r < free_prob + dangling_prob or n == 1:
+        elif r < FREE_PROB + DANGLING_PROB or n == 1:
             ends.append((rng.randrange(n),))
         else:
             u = rng.randrange(n)

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from covercount.graph import Graph
+
+# child interpreters (`python -m covercount`) import the package from src/ as well
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 # Seeds fixed so every run sweeps the identical corpus.
 RANDOM_CORPUS_SEED = 20_240_801

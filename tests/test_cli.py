@@ -13,6 +13,19 @@ from covercount.graph import format_graph
 
 C4_TEXT = "v 0\nv 1\nv 2\nv 3\ne 0 0 1\ne 1 1 2\ne 2 2 3\ne 3 3 0\n"
 CNF_TEXT = "p cnf 3 2\n1 2 0\n2 3 0\n"
+# stdout of `verify --max-edges 6 --instances 25 --trials 500 --seed 3`
+SMALL_VERIFY_REPORT = (
+    "PASS decay-bound worst_err=5.000e-01 bound_at_worst=1.500e+00\n"
+    "PASS decay-bound-dangling-free worst_err=5.000e-01 bound_at_worst=5.000e-01\n"
+    "PASS half-bound max_estimate=0.5 min_estimate=0.0\n"
+    "PASS fptas-eps=0.5 worst_rel_err=2.220e-16 allowed=0.5\n"
+    "PASS fptas-eps=0.2 worst_rel_err=2.220e-16 allowed=0.2\n"
+    "PASS fptas-eps=0.1 worst_rel_err=2.220e-16 allowed=0.1\n"
+    "PASS exact-identities checked=364 violations=0\n"
+    "PASS dangling-combine-sensitivity trials=500 worst_margin=0.000e+00\n"
+    "PASS normal-combine-sensitivity trials=500 worst_margin=0.000e+00\n"
+    "PASS total suites=9 failed=0\n"
+)
 
 
 @pytest.fixture
@@ -177,6 +190,12 @@ class TestVerify:
         assert code2 == 0
         assert out2 == out  # byte-reproducible under a fixed seed
 
+    def test_small_run_matches_the_recorded_report(self, capsys):
+        argv = ["verify", "--max-edges", "6", "--instances", "25", "--trials", "500", "--seed", "3"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == SMALL_VERIFY_REPORT
+
 
 class TestBench:
     def test_cycle_rows(self, capsys):
@@ -238,6 +257,14 @@ class TestErrorPaths:
         assert code == 1
         assert out == ""
         assert err == "error: math range error\n"
+
+    def test_undecodable_file_names_the_codec_failure(self, capsys, tmp_path):
+        path = tmp_path / "binary.graph"
+        path.write_bytes(b"\xff")
+        code, out, err = run_cli(capsys, "count", str(path), "--epsilon", "0.2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
 
 
 def test_module_entry_point(tmp_path):
