@@ -20,7 +20,7 @@ from .counter import depth_for, estimate_count
 from .estimator import estimate_marginal
 from .generate import cycle_graph, random_multigraph, star_graph
 from .graph import EdgeKind, Graph, parse_graph
-from .oracle import exact_count, exact_marginal
+from .oracle import DEFAULT_EDGE_CAP, exact_count, exact_marginal
 from .verify import run_verification
 
 _KIND_CHAR = {EdgeKind.NORMAL: "N", EdgeKind.DANGLING: "D", EdgeKind.FREE: "F"}
@@ -120,9 +120,10 @@ def _bench_graph(family: str, size: int, seed: int) -> Graph:
 
 
 def cmd_bench(args) -> int:
+    # a bad size fails here, before anything reaches stdout
+    graphs = [_bench_graph(args.family, size, args.seed) for size in args.sizes]
     print("n,m,L,nodes_expanded,wall_ms,estimate")
-    for size in args.sizes:
-        g = _bench_graph(args.family, size, args.seed)
+    for g in graphs:
         start = time.perf_counter()
         result = estimate_count(g, args.epsilon)
         wall_ms = (time.perf_counter() - start) * 1e3
@@ -163,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="brute-force exact count of a graph file")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=24, help="edge cap for the brute-force sweep")
+    p.add_argument("--cap", type=int, default=DEFAULT_EDGE_CAP, help="edge cap for the brute-force sweep")
     p.set_defaults(fn=cmd_exact)
 
     p = sub.add_parser("count", help="approximate count with the accuracy guarantee")

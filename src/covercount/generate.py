@@ -39,6 +39,10 @@ def star_graph(n: int) -> Graph:
 
 
 def random_multigraph(seed: int, max_vertices: int = 7, max_edges: int = 14) -> Graph:
+    if max_vertices < 1:
+        raise ValueError(f"max_vertices must be at least 1, got {max_vertices}")
+    if max_edges < 1:
+        raise ValueError(f"max_edges must be at least 1, got {max_edges}")
     rng = random.Random(seed)
     n = rng.randint(1, max_vertices)
     m = rng.randint(1, max_edges)

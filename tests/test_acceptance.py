@@ -58,24 +58,30 @@ def corpus() -> list[Graph]:
 
 
 @pytest.fixture(scope="session")
-def marginal_sweep(corpus):
+def counted(corpus) -> list[tuple[Graph, int]]:
+    """(graph, exact count) per corpus graph; the oracle counts each once."""
+    return [(g, exact_count(g)) for g in corpus]
+
+
+@pytest.fixture(scope="session")
+def marginal_sweep(counted):
     """(kind, exact marginal, {depth: estimate}) for every edge of every
     covered corpus graph, computed once and shared across criteria."""
     rows = []
-    for g in corpus:
-        if exact_count(g) == 0:
+    for g, z in counted:
+        if z == 0:
             continue
         for e in g.edge_ids:
-            exact = exact_marginal(g, e)
+            exact = Fraction(exact_count(g.remove_edge(e)), z)
             estimates = {L: estimate_marginal(g, e, L) for L in DEPTHS}
             rows.append((g.classify(e), exact, estimates))
     return rows
 
 
 @pytest.fixture(scope="session")
-def counter_sweep(corpus):
+def counter_sweep(counted):
     """(exact count, {epsilon: approximate count result}) per corpus graph."""
-    return [(exact_count(g), {eps: estimate_count(g, eps) for eps in EPSILONS}) for g in corpus]
+    return [(z, {eps: estimate_count(g, eps) for eps in EPSILONS}) for g, z in counted]
 
 
 # -- criteria -----------------------------------------------------------------

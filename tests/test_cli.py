@@ -266,6 +266,21 @@ class TestErrorPaths:
         assert out == ""
         assert err == "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
 
+    @pytest.mark.parametrize(
+        "family, sizes, message",
+        [
+            ("cycle", "8,2", "cycle needs at least 3 vertices"),
+            ("random", "0", "max_vertices must be at least 1"),
+        ],
+        ids=["cycle-8,2", "random-0"],
+    )
+    def test_bench_bad_size_prints_no_rows(self, capsys, family, sizes, message):
+        code, out, err = run_cli(capsys, "bench", "--family", family, "--sizes", sizes, "--epsilon", "0.5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+        assert len(err.splitlines()) == 1
+
 
 def test_module_entry_point(tmp_path):
     path = tmp_path / "c4.graph"

@@ -1,7 +1,7 @@
 from collections import Counter
 
 from covercount import oracle, verify
-from covercount.graph import Graph
+from covercount.graph import Graph, format_graph
 
 
 def test_each_corpus_graph_reaches_the_oracle_once(monkeypatch):
@@ -13,10 +13,12 @@ def test_each_corpus_graph_reaches_the_oracle_once(monkeypatch):
     monkeypatch.setattr(verify, "verification_corpus", lambda *_: list(corpus))
 
     calls = Counter()
+    by_content = Counter()
     exact_count = oracle.exact_count
 
     def counting(g, *args, **kwargs):
         calls[id(g)] += 1
+        by_content[format_graph(g)] += 1
         return exact_count(g, *args, **kwargs)
 
     monkeypatch.setattr(verify, "exact_count", counting)
@@ -26,3 +28,5 @@ def test_each_corpus_graph_reaches_the_oracle_once(monkeypatch):
 
     assert all(r.passed for r in results), results
     assert [calls[id(g)] for g in corpus] == [1, 1, 1]
+    deleted = [format_graph(g.remove_edge(e)) for g in corpus for e in g.edge_ids]
+    assert [by_content[text] for text in deleted] == [1] * len(deleted)
