@@ -23,6 +23,12 @@ returns, so the input is never written and there is no undo log.
 ``chain_marginals(g, depth)`` runs the same recursion for every edge of
 the counter's elimination order on one shared workspace, conditioning
 each edge in place (clearing its flags for good) once it is estimated.
+
+``depth_sweep(g, e, max_depth)`` gives the estimates at every depth
+0..max_depth.  Error enters only at truncated leaves (``depth <= 0``),
+so once the tree at depth L has none, every deeper budget builds the
+same tree and returns the same value bit for bit: the sweep stops
+recursing there and repeats that value for the deeper depths.
 """
 
 from __future__ import annotations
@@ -162,17 +168,19 @@ class _Workspace:
     edge always reads back as (u, v) with u < v; a live vertex's live
     incident edges are the live entries of ``inc``, already in ascending id
     order.  The recursion clears the flags of each branch and sets them
-    again before it returns.  Not part of the public persistent-value
-    contract.
+    again before it returns.  ``truncated`` is set by every truncated leaf
+    and never cleared by the recursion.  Not part of the public
+    persistent-value contract.
     """
 
-    __slots__ = ("ends", "inc", "edge_live", "vert_live")
+    __slots__ = ("ends", "inc", "edge_live", "vert_live", "truncated")
 
     def __init__(self, g: Graph):
         self.ends = g._edges
         self.inc = g._adj
         self.edge_live = dict.fromkeys(g._edges, True)
         self.vert_live = dict.fromkeys(g._vertices, True)
+        self.truncated = False
 
     def live_ends(self, e: int) -> list[int]:
         vert_live = self.vert_live
@@ -187,6 +195,7 @@ class _Workspace:
 
 def _recurse(ws: _Workspace, e: int, depth: int, on_node: Optional[TraceFn]) -> float:
     if depth <= 0:
+        ws.truncated = True
         if on_node is not None:
             on_node(depth, e, _KINDS[len(ws.live_ends(e))], "base")
         return 0.5
@@ -259,6 +268,26 @@ def estimate_marginal(g: Graph, e: int, depth: int, on_node: Optional[TraceFn] =
     if not g.has_edge(e):
         raise KeyError(f"unknown edge id {e}")
     return _recurse(_Workspace(g), e, depth, on_node)
+
+
+def depth_sweep(g: Graph, e: int, max_depth: int) -> list[float]:
+    """``[estimate_marginal(g, e, L) for L in range(max_depth + 1)]``, bit for bit.
+
+    Estimates depth by depth on one workspace and stops at the first
+    depth whose tree has no truncated leaf; that value is the estimate
+    at every deeper depth too.
+    """
+    if not g.has_edge(e):
+        raise KeyError(f"unknown edge id {e}")
+    ws = _Workspace(g)
+    out = []
+    for depth in range(max_depth + 1):
+        ws.truncated = False
+        out.append(_recurse(ws, e, depth, None))
+        if not ws.truncated:
+            out += out[-1:] * (max_depth - depth)
+            break
+    return out
 
 
 def chain_marginals(g: Graph, depth: int, on_node: Optional[TraceFn] = None) -> list[tuple[int, float]]:

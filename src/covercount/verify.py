@@ -12,19 +12,23 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .counter import estimate_count
-from .estimator import dangling_combine, estimate_marginal, normal_combine
+
+# estimate_marginal is not called here (the sweep uses depth_sweep), but
+# perfbench's tracer wraps verify.estimate_marginal by name.
+from .estimator import dangling_combine, depth_sweep, estimate_marginal, normal_combine  # noqa: F401
 from .generate import random_multigraph
 from .graph import EdgeKind, Graph
 from .oracle import exact_count, exact_marginal
 
 FLOAT_SLACK = 1e-9
 HALF_SLACK = 1e-12
-DEPTHS = range(0, 13)
+MAX_DEPTH = 12
 SMALL_GRAPH_VERTICES = 4
 
 
@@ -57,7 +61,9 @@ def marginal_suites(counted) -> list[SuiteResult]:
     """The decay-bound, dangling/free decay-bound and half-bound suites.
 
     One streaming pass over every edge of every covered corpus graph feeds
-    all three; each exact marginal is ``|EC(g - e)| / |EC(g)|``.
+    all three; each exact marginal is ``|EC(g - e)| / |EC(g)|``.  Every
+    depth 0..MAX_DEPTH is checked; ``depth_sweep`` reuses a settled
+    depth's value for the deeper ones.
     """
     worst = -1.0
     worst_bound = 0.0
@@ -76,8 +82,7 @@ def marginal_suites(counted) -> list[SuiteResult]:
             sharp = g.classify(e) is not EdgeKind.NORMAL
             if exact < 0 or exact * 2 > 1:
                 ok_half = False
-            for L in DEPTHS:
-                est = estimate_marginal(g, e, L)
+            for L, est in enumerate(depth_sweep(g, e, MAX_DEPTH)):
                 err = abs(est - float(exact))
                 bound = 3.0 * 0.5 ** (L + 1)
                 if err > worst:
@@ -152,14 +157,17 @@ def identity_suite(counted) -> SuiteResult:
 
 
 def sensitivity_bounds_suite(seed: int, trials: int) -> list[SuiteResult]:
+    # 0.5 * draw() is rng.uniform(0.0, 0.5) and randrange(9) is
+    # randint(0, 8), draw for draw, without their Python-level frames
     rng = random.Random(seed)
+    draw = rng.random
     worst_margin_f = -1.0
     ok_f = True
     for _ in range(trials):
-        d = rng.randint(0, 8)
-        xs = [rng.uniform(0.0, 0.5) for _ in range(d)]
-        xhat = [rng.uniform(0.0, 0.5) for _ in range(d)]
-        eps = max((abs(a - b) for a, b in zip(xs, xhat)), default=0.0)
+        d = rng.randrange(9)
+        xs = [0.5 * draw() for _ in range(d)]
+        xhat = [0.5 * draw() for _ in range(d)]
+        eps = max(map(abs, map(operator.sub, xs, xhat)), default=0.0)
         bound = min(0.5, d * 0.5 ** (d - 1)) * eps
         diff = abs(dangling_combine(xhat) - dangling_combine(xs))
         worst_margin_f = max(worst_margin_f, diff - bound)
@@ -169,23 +177,20 @@ def sensitivity_bounds_suite(seed: int, trials: int) -> list[SuiteResult]:
     worst_margin_g = -1.0
     ok_g = True
     for _ in range(trials):
-        d1 = rng.randint(0, 8)
-        d2 = rng.randint(0, 8)
-        xs = [rng.uniform(0.0, 0.5) for _ in range(d1)]
-        xhat = [rng.uniform(0.0, 0.5) for _ in range(d1)]
-        ys = [rng.uniform(0.0, 0.5) for _ in range(d2)]
-        yhat = [rng.uniform(0.0, 0.5) for _ in range(d2)]
+        d1 = rng.randrange(9)
+        d2 = rng.randrange(9)
+        xs = [0.5 * draw() for _ in range(d1)]
+        xhat = [0.5 * draw() for _ in range(d1)]
+        ys = [0.5 * draw() for _ in range(d2)]
+        yhat = [0.5 * draw() for _ in range(d2)]
         if d1 == 0:
             # with no edges on the first side, the second and third chains
             # coincide, so their products are coupled
             zs, zhat = ys, yhat
         else:
-            zs = [rng.uniform(0.0, 0.5) for _ in range(d2)]
-            zhat = [rng.uniform(0.0, 0.5) for _ in range(d2)]
-        eps = max(
-            (abs(a - b) for a, b in zip(xs + ys + zs, xhat + yhat + zhat)),
-            default=0.0,
-        )
+            zs = [0.5 * draw() for _ in range(d2)]
+            zhat = [0.5 * draw() for _ in range(d2)]
+        eps = max(map(abs, map(operator.sub, xs + ys + zs, xhat + yhat + zhat)), default=0.0)
         diff = abs(
             normal_combine(math.prod(xhat), math.prod(yhat), math.prod(zhat))
             - normal_combine(math.prod(xs), math.prod(ys), math.prod(zs))

@@ -13,7 +13,7 @@ import pytest
 
 from covercount.cnf import parse_cnf, to_graph
 from covercount.counter import depth_for, elimination_chain, estimate_count
-from covercount.estimator import estimate_marginal
+from covercount.estimator import depth_sweep, estimate_marginal
 from covercount.generate import cycle_graph, random_multigraph
 from covercount.graph import EdgeKind, Graph
 from covercount.oracle import exact_count, exact_marginal
@@ -66,14 +66,16 @@ def counted(corpus) -> list[tuple[Graph, int]]:
 @pytest.fixture(scope="session")
 def marginal_sweep(counted):
     """(kind, exact marginal, {depth: estimate}) for every edge of every
-    covered corpus graph, computed once and shared across criteria."""
+    covered corpus graph, computed once and shared across criteria.
+    ``depth_sweep`` gives ``estimate_marginal`` at every depth, reusing a
+    settled depth's value for the deeper ones."""
     rows = []
     for g, z in counted:
         if z == 0:
             continue
         for e in g.edge_ids:
             exact = Fraction(exact_count(g.remove_edge(e)), z)
-            estimates = {L: estimate_marginal(g, e, L) for L in DEPTHS}
+            estimates = dict(zip(DEPTHS, depth_sweep(g, e, DEPTHS[-1])))
             rows.append((g.classify(e), exact, estimates))
     return rows
 

@@ -6,18 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_small_graph
+from conftest import random_small_graph, seeded_multigraphs
+from covercount import estimator
 from covercount.estimator import (
     ContractViolationError,
     dangling_combine,
     dangling_subinstances,
     depth_discount,
+    depth_sweep,
     estimate_marginal,
     normal_combine,
     normal_subinstances,
 )
 from covercount.graph import EdgeKind, Graph
 from covercount.oracle import exact_count, exact_marginal
+from covercount.verify import exhaustive_small_graphs
 
 FLOAT_SLACK = 1e-9
 
@@ -252,6 +255,50 @@ class TestEstimateMarginal:
                 a = estimate_marginal(g, e, 7)
                 assert estimate_marginal(g, e, 7) == a
                 assert estimate_marginal(twin, e, 7) == a
+
+
+class TestDepthSweep:
+    def test_every_depth_matches_estimate_marginal_bitwise(self):
+        corpus = exhaustive_small_graphs() + seeded_multigraphs(1000, max_edges=8)
+        kinds = set()
+        parallel = False
+        for g in corpus:
+            pairs = [g.endpoints(e) for e in g.edge_ids if g.classify(e) is EdgeKind.NORMAL]
+            parallel |= len(set(pairs)) < len(pairs)
+            for e in g.edge_ids:
+                kinds.add(g.classify(e))
+                sweep = depth_sweep(g, e, 12)
+                assert [x.hex() for x in sweep] == [estimate_marginal(g, e, L).hex() for L in range(13)]
+        assert kinds == set(EdgeKind) and parallel
+
+    def test_unknown_edge(self):
+        with pytest.raises(KeyError):
+            depth_sweep(Graph.from_edges([(0, 1)]), 5, 12)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[(0, 1), (1, 2), (2, 3), (3, 0)], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]],
+        ids=["c4", "path5"],
+    )
+    def test_visits_fewer_nodes_than_separate_calls(self, edges, monkeypatch):
+        g = Graph.from_edges(edges)
+        recurse = estimator._recurse
+        nodes = 0
+
+        def counted(*args):
+            nonlocal nodes
+            nodes += 1
+            return recurse(*args)
+
+        monkeypatch.setattr(estimator, "_recurse", counted)
+        for e in g.edge_ids:
+            nodes = 0
+            depth_sweep(g, e, 12)
+            swept = nodes
+            nodes = 0
+            for L in range(13):
+                estimate_marginal(g, e, L)
+            assert 0 < swept < nodes
 
 
 class TestDecayBounds:
