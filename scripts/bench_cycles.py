@@ -7,12 +7,16 @@ graphs, for one or more checkouts.
 
 Each ``--side LABEL=SRC:INSTANCES`` names a checkout's ``src`` directory
 and the instances to run on it: ``cycle<n>`` (a bare ``<n>`` means the
-same), ``grid<r>x<c>`` and ``k<n>``.  The sides take turns, instance by
-instance.  Every (side, instance) runs in a fresh interpreter with that
-``src`` on PYTHONPATH: one untimed count with an ``on_node`` counter
-gives the recursion node total, then ``--repeats`` timed counts give the
-best wall time.  The output records the machine's ``nproc`` and the
-Python version with the rows.
+same), ``grid<r>x<c>`` and ``k<n>``.  Every (side, instance) runs in
+``PROCESSES`` fresh interpreters with that ``src`` on PYTHONPATH, the
+sides taking turns within each instance (the first side leads in even
+rounds, the last in odd ones).  In each process one untimed count with
+an ``on_node`` counter gives the recursion node total, then
+``--repeats`` timed counts give that process's best wall time.  Each
+row is one process; ``ratios`` holds, per instance, the median over
+rounds of each side's best time over the first side's best in the same
+round.  The output records the machine's ``nproc`` and the Python
+version with the rows.
 """
 
 from __future__ import annotations
@@ -21,10 +25,13 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+PROCESSES = 5  # fresh interpreters per (side, instance)
 
 
 def build(instance: str):
@@ -102,6 +109,23 @@ def git_state(src: Path) -> dict:
     }
 
 
+def median_ratios(rows: list[dict], base: str) -> list[dict]:
+    """Per instance and side, the median over rounds of its best time over
+    the base side's best in the same round."""
+    best = {(row["side"], row["instance"], row["round"]): row["best_s"] for row in rows if "best_s" in row}
+    out = []
+    for side, instance in dict.fromkeys((side, inst) for side, inst, _ in best if side != base):
+        ratios = [
+            best[side, instance, r] / best[base, instance, r]
+            for r in range(PROCESSES)
+            if (side, instance, r) in best and (base, instance, r) in best
+        ]
+        if ratios:
+            median = statistics.median(ratios)
+            out.append({"side": side, "base": base, "instance": instance, "median_ratio": median, "ratios": ratios})
+    return out
+
+
 def parse_side(spec: str) -> tuple[str, Path, list[str]]:
     label, rest = spec.split("=", 1)
     src, instances = rest.rsplit(":", 1)
@@ -122,24 +146,30 @@ def main() -> int:
         return 0
 
     sides = {label: git_state(src) for label, src, _ in args.side}
-    # i-th instance of every side, then the (i+1)-th: a drift in machine
-    # speed then hits the sides alike instead of one side's whole list
-    jobs = sorted(
-        ((i, label, src, instance) for label, src, instances in args.side for i, instance in enumerate(instances)),
-        key=lambda job: job[0],
-    )
+    # i-th instance of every side, then the (i+1)-th, each in PROCESSES
+    # rounds that alternate the sides' order: a drift in machine speed
+    # then hits the sides alike instead of one side's whole list
+    jobs = []
+    for i in range(max((len(instances) for _, _, instances in args.side), default=0)):
+        present = [(label, src, instances[i]) for label, src, instances in args.side if i < len(instances)]
+        for r in range(PROCESSES):
+            jobs.extend((r, *job) for job in (present if r % 2 == 0 else present[::-1]))
     rows = []
-    for _, label, src, instance in jobs:
-        row = {"side": label, **run_child(src, instance, args.epsilon, args.repeats)}
+    for r, label, src, instance in jobs:
+        row = {"side": label, "round": r, **run_child(src, instance, args.epsilon, args.repeats)}
         print(json.dumps(row), file=sys.stderr)
         rows.append(row)
     record = {
-        "what": f"best-of-{args.repeats} wall time of estimate_count(g, {args.epsilon})",
+        "what": (
+            f"best-of-{args.repeats} wall time of estimate_count(g, {args.epsilon}) "
+            f"in each of {PROCESSES} fresh interpreters per side and instance"
+        ),
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "machine": platform.machine(),
         "sides": sides,
         "rows": rows,
+        "ratios": median_ratios(rows, args.side[0][0]) if args.side else [],
     }
     text = json.dumps(record, indent=2) + "\n"
     if args.out is None:

@@ -1,7 +1,7 @@
 """Approximate counting of edge covers for multigraphs with dangling and
 free edges: a deterministic truncated-recursion estimator with a
-guaranteed accuracy bound, an exact brute-force oracle, and a read-twice
-monotone CNF frontend."""
+guaranteed accuracy bound, an exact frontier dynamic-programming oracle,
+and a read-twice monotone CNF frontend.  Standard library only."""
 
 from .cnf import CnfFormatError, RtwMonCnf, count_solutions, parse_cnf, render_cnf, to_graph
 from .counter import ApproxCount, depth_for, elimination_chain, estimate_count

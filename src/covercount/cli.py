@@ -3,7 +3,8 @@ CNF reduction, verification, and benchmarking.
 
 JSON results go to stdout, diagnostics and traces to stderr.  Exact
 counts are rendered as decimal strings so downstream tools never lose
-precision.
+precision; ``Decimal`` renders them, so counts past the interpreter's
+int-to-string digit limit print in full.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 from .cnf import parse_cnf, to_graph
@@ -53,7 +55,7 @@ def _count_payload(g: Graph, eps: float) -> dict:
 
 def cmd_exact(args) -> int:
     g = _load_graph(args.graph)
-    _emit({"count": str(exact_count(g, cap=args.cap))})
+    _emit({"count": str(Decimal(exact_count(g, cap=args.cap)))})
     return 0
 
 
@@ -89,7 +91,7 @@ def cmd_from_cnf(args) -> int:
     payload["vars"] = phi.num_vars
     payload["clauses"] = len(phi.clauses)
     if args.exact:
-        payload["exact"] = str(exact_count(g))
+        payload["exact"] = str(Decimal(exact_count(g)))
     _emit(payload)
     return 0
 
@@ -162,9 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("exact", help="brute-force exact count of a graph file")
+    p = sub.add_parser("exact", help="exact count of a graph file by a frontier dynamic program")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=DEFAULT_EDGE_CAP, help="edge cap for the brute-force sweep")
+    p.add_argument(
+        "--cap", type=int, default=DEFAULT_EDGE_CAP, help="edge cap; the dynamic program holds at most 2^cap states"
+    )
     p.set_defaults(fn=cmd_exact)
 
     p = sub.add_parser("count", help="approximate count with the accuracy guarantee")

@@ -25,6 +25,8 @@ DEPTHS = range(0, 13)
 EPSILONS = (0.5, 0.2, 0.1)
 CORPUS_SEED = 987_001
 IDENTITY_SEED = 553_101
+SCALE_EPSILON = 0.2
+SCALE_REGULAR_SEED = 7
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -230,6 +232,30 @@ def test_criterion_7_exact_identities():
         violations += exact_count(g) != 1 or exact_marginal(g, 0) != 0
         violations += estimate_count(g, 0.5).value != 1.0
     report(7, "exact-identities", violations == 0, f"checked={checked} violations={violations}")
+
+
+def _from_nx(G: nx.Graph) -> Graph:
+    G = nx.convert_node_labels_to_integers(G, ordering="sorted")
+    return Graph(G.nodes, list(enumerate(sorted(tuple(sorted(e)) for e in G.edges))))
+
+
+def test_criterion_8_fptas_guarantee_at_scale():
+    # far past the 14-edge corpus, against the frontier DP with its cap raised
+    instances = {
+        "grid6x6": _from_nx(nx.grid_2d_graph(6, 6)),
+        "k8": _from_nx(nx.complete_graph(8)),
+        "cycle16000": cycle_graph(16_000),
+        "5reg12": _from_nx(nx.random_regular_graph(5, 12, seed=SCALE_REGULAR_SEED)),
+        "4reg20": _from_nx(nx.random_regular_graph(4, 20, seed=SCALE_REGULAR_SEED)),
+    }
+    low, high = math.log1p(-SCALE_EPSILON), math.log1p(SCALE_EPSILON)
+    rows = []
+    for name, g in instances.items():
+        gap = estimate_count(g, SCALE_EPSILON).log_value - math.log(exact_count(g, cap=g.edge_count))
+        rows.append((name, g.edge_count, gap))
+    ok = all(low <= gap <= high for _, _, gap in rows)
+    detail = " ".join(f"{name}:m={m}:log_ratio={gap:.3e}" for name, m, gap in rows)
+    report(8, "fptas-guarantee-at-scale", ok, f"eps={SCALE_EPSILON} {detail}")
 
 
 def test_verify_command_default_gate():

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -61,6 +62,17 @@ class TestExact:
         assert code == 1
         assert out == ""
         assert "oracle too large" in err
+
+    def test_counts_past_the_int_digit_limit_print_in_full(self, capsys, tmp_path):
+        path = tmp_path / "cycle30000.graph"
+        path.write_text(format_graph(cycle_graph(30_000)))
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, "exact", str(path), "--cap", "30000")
+        assert code == 0
+        count = json.loads(out)["count"]
+        assert len(count) > limit  # str() of the int would raise ValueError
+        assert Decimal(count) == lucas(30_000)
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestCount:

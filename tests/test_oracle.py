@@ -1,10 +1,13 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import independent_cover_count, random_small_graph
+from conftest import fibonacci, independent_cover_count, lucas, random_small_graph, seeded_multigraphs
 from covercount.estimator import dangling_subinstances
+from covercount.generate import cycle_graph, path_graph
 from covercount.graph import EdgeKind, Graph
 from covercount.oracle import NoEdgeCoverError, OracleSizeError, exact_count, exact_marginal
 
@@ -131,3 +134,42 @@ class TestOracleInvariants:
                 assert exact_marginal(g, e) == (1 - prod) / (2 - prod)
                 checked += 1
         assert checked > 20
+
+
+class TestFrontierDp:
+    def test_matches_independent_enumerator_on_small_graphs(self):
+        from covercount.verify import exhaustive_small_graphs
+
+        for g in exhaustive_small_graphs():
+            assert exact_count(g) == independent_cover_count(g)
+
+    def test_matches_independent_enumerator_on_multigraphs_and_their_subgraphs(self):
+        # the deleted edge and the detached vertex leave gaps in the ids
+        rng = random.Random(23)
+        kinds = set()
+        for g in seeded_multigraphs(500, max_edges=14):
+            kinds.update(g.classify(e) for e in g.edge_ids)
+            derived = [g.remove_edge(rng.choice(g.edge_ids))]
+            if g.vertices:  # an all-free sample has none
+                derived.append(g.detach_vertex(rng.choice(sorted(g.vertices))))
+            for h in (g, *derived):
+                assert exact_count(h) == independent_cover_count(h)
+        assert kinds == set(EdgeKind)
+
+    def test_huge_vertex_ids(self):
+        a, b, c, d = 10**9, 10**9 + 7, 10**9 + 3, 10**9 + 12
+        g = Graph.from_edges([(a, b), (b, c), (c, a), (c, d), (d,), (), (a, b)])
+        assert exact_count(g) == independent_cover_count(g)
+
+    def test_cycles_are_lucas_numbers(self):
+        for n in [*range(3, 61), 2000]:
+            assert exact_count(cycle_graph(n), cap=n) == lucas(n)
+
+    def test_paths_are_fibonacci_numbers(self):
+        for n in [*range(2, 61), 2000]:
+            assert exact_count(path_graph(n), cap=n) == fibonacci(n - 1)
+
+
+def test_import_pulls_in_no_numpy():
+    code = "import covercount, sys; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
