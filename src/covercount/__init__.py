@@ -4,16 +4,8 @@ guaranteed accuracy bound, an exact frontier dynamic-programming oracle,
 and a read-twice monotone CNF frontend.  Standard library only."""
 
 from .cnf import CnfFormatError, RtwMonCnf, count_solutions, parse_cnf, render_cnf, to_graph
-from .counter import ApproxCount, depth_for, elimination_chain, estimate_count
-from .estimator import (
-    ContractViolationError,
-    dangling_combine,
-    dangling_subinstances,
-    depth_discount,
-    estimate_marginal,
-    normal_combine,
-    normal_subinstances,
-)
+from .counter import ApproxCount, depth_for, estimate_count
+from .estimator import ContractViolationError, dangling_combine, depth_discount, estimate_marginal, normal_combine
 from .graph import EdgeKind, Graph, GraphFormatError, format_graph, parse_graph
 from .oracle import DEFAULT_EDGE_CAP, NoEdgeCoverError, OracleSizeError, exact_count, exact_marginal
 
@@ -32,17 +24,14 @@ __all__ = [
     "RtwMonCnf",
     "count_solutions",
     "dangling_combine",
-    "dangling_subinstances",
     "depth_discount",
     "depth_for",
-    "elimination_chain",
     "estimate_count",
     "estimate_marginal",
     "exact_count",
     "exact_marginal",
     "format_graph",
     "normal_combine",
-    "normal_subinstances",
     "parse_cnf",
     "parse_graph",
     "render_cnf",

@@ -217,10 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, RecursionError, ArithmeticError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError, ArithmeticError) as exc:
         # str() of a KeyError quotes its key
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)

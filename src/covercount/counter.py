@@ -12,7 +12,8 @@ true count.
 once: each edge is estimated, then conditioned in place
 (``estimator.chain_marginals``).  ``elimination_chain`` spells out the
 same sequence as persistent graphs; it is the readable reference that
-the tests compare the fast path against, not part of it.
+the tests compare the fast path against, not part of it, and the
+package does not export it.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-# estimate_marginal stays in this namespace as the reference path (over
-# elimination_chain(g) it gives chain_marginals(g) exactly), and
-# perfbench's tracer wraps counter.estimate_marginal by name.
+# elimination_chain and this estimate_marginal re-export are not on the
+# counting path; both stay module attributes because perfbench's tracer
+# wraps counter.elimination_chain and counter.estimate_marginal by name.
+# Over elimination_chain(g), estimate_marginal gives chain_marginals(g)
+# exactly, which the tests check.
 from .estimator import TraceFn, chain_marginals, estimate_marginal  # noqa: F401
 from .graph import Graph
 

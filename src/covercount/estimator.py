@@ -18,7 +18,9 @@ The recursion never builds a subgraph.  It walks a live view of the
 input graph (``_Workspace``): the graph's own immutable endpoint and
 incidence maps plus one live flag per edge and per vertex.  A branch
 clears the flags of what it removes and sets them again before it
-returns, so the input is never written and there is no undo log.
+returns, so the input is never written and there is no undo log.  The
+same recursion over persistent subgraphs is kept only as the tests'
+reference (``tests/reference.py``), which this one matches bit for bit.
 
 ``chain_marginals(g, depth)`` runs the same recursion for every edge of
 the counter's elimination order on one shared workspace, conditioning
@@ -93,68 +95,6 @@ def depth_discount(depth: int, d: int) -> int:
     below zero; the base case absorbs that.
     """
     return depth - _ceil_log6(d + 1)
-
-
-def dangling_subinstances(g: Graph, e: int) -> list[tuple[Graph, int]]:
-    """Chain of (subgraph, sibling edge) pairs for a dangling edge e at u.
-
-    The first subgraph detaches u after dropping e; each later one
-    additionally drops the previous sibling.  Every sibling is dangling
-    or free in its subgraph, never normal, since all of them lost the
-    endpoint u.
-    """
-    if g.classify(e) is not EdgeKind.DANGLING:
-        raise ValueError(f"edge {e} is not dangling")
-    (u,) = g.endpoints(e)
-    others = [x for x in g.incident_edges(u) if x != e]
-    cur = g.remove_edge(e).detach_vertex(u)
-    out = []
-    for child in others:
-        out.append((cur, child))
-        cur = cur.remove_edge(child)
-    return out
-
-
-def normal_subinstances(
-    g: Graph, e: int
-) -> tuple[list[tuple[Graph, int]], list[tuple[Graph, int]], list[tuple[Graph, int]]]:
-    """The three chain families feeding the X, Y, Z products for normal e.
-
-    All start from the core graph with e dropped and both endpoints
-    detached.  The first family walks u's other edges, the third walks
-    v's other edges, and the second walks v's other edges after u's have
-    all been dropped.  A parallel copy of e sits in both endpoint lists;
-    it shows up in the first and third families, and the second family
-    skips it because it is already conditioned away (its factor is 1).
-    """
-    if g.classify(e) is not EdgeKind.NORMAL:
-        raise ValueError(f"edge {e} is not normal")
-    u, v = g.endpoints(e)
-    at_u = [x for x in g.incident_edges(u) if x != e]
-    at_v = [x for x in g.incident_edges(v) if x != e]
-    core = g.remove_edge(e).detach_vertex(u).detach_vertex(v)
-
-    first = []
-    cur = core
-    for child in at_u:
-        first.append((cur, child))
-        cur = cur.remove_edge(child)
-
-    second = []
-    shared = set(at_u)
-    for child in at_v:
-        if child in shared:
-            continue
-        second.append((cur, child))
-        cur = cur.remove_edge(child)
-
-    third = []
-    cur = core
-    for child in at_v:
-        third.append((cur, child))
-        cur = cur.remove_edge(child)
-
-    return first, second, third
 
 
 class _Workspace:

@@ -5,8 +5,10 @@ two, a dangling edge one, a free edge none.  Parallel edges (same
 endpoint pair, distinct ids) are allowed; self-loops are rejected.
 
 Graphs are immutable: ``remove_edge`` and ``detach_vertex`` return new
-graphs, so recursive algorithms can branch on many subinstances of the
-same graph without defensive copying.
+graphs and leave the original intact.  Their users are the oracle's
+marginal (``|EC(g - e)|``), ``verify``'s edge-deleted counts and identities,
+``counter.elimination_chain`` and the persistent-graph reference
+recursion of the tests; the estimator itself never builds a subgraph.
 """
 
 from __future__ import annotations

@@ -11,16 +11,15 @@ from covercount import estimator
 from covercount.estimator import (
     ContractViolationError,
     dangling_combine,
-    dangling_subinstances,
     depth_discount,
     depth_sweep,
     estimate_marginal,
     normal_combine,
-    normal_subinstances,
 )
 from covercount.graph import EdgeKind, Graph
 from covercount.oracle import exact_count, exact_marginal
 from covercount.verify import exhaustive_small_graphs
+from reference import dangling_subinstances, normal_subinstances, reference_marginal
 
 FLOAT_SLACK = 1e-9
 
@@ -185,31 +184,6 @@ class TestNormalSubinstances:
                     assert sub.classify(child) is not EdgeKind.NORMAL
                 for sub, child in second:
                     assert sub.classify(child) is not EdgeKind.NORMAL
-
-
-def reference_marginal(g: Graph, e: int, depth: int) -> float:
-    """Plain persistent-graph transcription of the truncated recursion.
-
-    Independent of the workspace-based implementation; used to pin the
-    production recursion to the public subinstance operations.
-    """
-    if depth <= 0:
-        return 0.5
-    kind = g.classify(e)
-    if kind is EdgeKind.FREE:
-        return 0.5
-    if kind is EdgeKind.DANGLING:
-        (u,) = g.endpoints(e)
-        d = len(g.incident_edges(u)) - 1
-        child_depth = depth_discount(depth, d)
-        return dangling_combine(
-            [reference_marginal(sub, child, child_depth) for sub, child in dangling_subinstances(g, e)]
-        )
-    first, second, third = normal_subinstances(g, e)
-    x = math.prod(reference_marginal(sub, child, depth) for sub, child in first)
-    y = math.prod(reference_marginal(sub, child, depth) for sub, child in second)
-    z = math.prod(reference_marginal(sub, child, depth) for sub, child in third)
-    return normal_combine(x, y, z)
 
 
 class TestEstimateMarginal:

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import fibonacci, independent_cover_count, lucas, random_small_graph, seeded_multigraphs
-from covercount.estimator import dangling_subinstances
 from covercount.generate import cycle_graph, path_graph
 from covercount.graph import EdgeKind, Graph
 from covercount.oracle import NoEdgeCoverError, OracleSizeError, exact_count, exact_marginal
+from reference import dangling_subinstances
 
 
 def c4() -> Graph:

@@ -1,6 +1,7 @@
 from collections import Counter
 
 from covercount import oracle, verify
+from covercount.generate import cycle_graph
 from covercount.graph import Graph, format_graph
 
 
@@ -30,3 +31,12 @@ def test_each_corpus_graph_reaches_the_oracle_once(monkeypatch):
     assert [calls[id(g)] for g in corpus] == [1, 1, 1]
     deleted = [format_graph(g.remove_edge(e)) for g in corpus for e in g.edge_ids]
     assert [by_content[text] for text in deleted] == [1] * len(deleted)
+
+
+def test_a_graph_at_the_edge_cap_passes_the_identities(monkeypatch):
+    # the free-edge doubling identity counts a graph one edge larger than g
+    monkeypatch.setattr(verify, "verification_corpus", lambda *_: [cycle_graph(24)])
+
+    results = verify.run_verification(max_edges=24, trials=1)
+
+    assert all(r.passed for r in results), results
