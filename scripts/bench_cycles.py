@@ -16,7 +16,10 @@ an ``on_node`` counter gives the recursion node total, then
 row is one process; ``ratios`` holds, per instance, the median over
 rounds of each side's best time over the first side's best in the same
 round.  The output records the machine's ``nproc`` and the Python
-version with the rows.
+version with the rows.  Each row also holds the count's ``value_hex``
+(``ApproxCount.value.hex()``); after writing the record the script
+exits nonzero if two sides disagree on ``nodes`` or ``value_hex`` for
+the same instance.
 """
 
 from __future__ import annotations
@@ -79,6 +82,7 @@ def measure(instance: str, eps: float, repeats: int) -> dict:
         "m": g.edge_count,
         "depth": result.depth_used,
         "nodes": nodes,
+        "value_hex": result.value.hex(),
         "best_s": best,
         "walls_s": walls,
         "us_per_edge": best / g.edge_count * 1e6,
@@ -124,6 +128,20 @@ def median_ratios(rows: list[dict], base: str) -> list[dict]:
             median = statistics.median(ratios)
             out.append({"side": side, "base": base, "instance": instance, "median_ratio": median, "ratios": ratios})
     return out
+
+
+def disagreements(rows: list[dict]) -> list[str]:
+    """One line per instance whose rows differ in ``nodes`` or ``value_hex``."""
+    outcomes: dict[str, dict[tuple, set[str]]] = {}
+    for row in rows:
+        if "nodes" in row:
+            by_outcome = outcomes.setdefault(row["instance"], {})
+            by_outcome.setdefault((row["nodes"], row["value_hex"]), set()).add(row["side"])
+    return [
+        f"{instance}: " + "; ".join(f"nodes={n} value={v} from {sorted(s)}" for (n, v), s in by_outcome.items())
+        for instance, by_outcome in outcomes.items()
+        if len(by_outcome) > 1
+    ]
 
 
 def parse_side(spec: str) -> tuple[str, Path, list[str]]:
@@ -176,7 +194,10 @@ def main() -> int:
         sys.stdout.write(text)
     else:
         args.out.write_text(text)
-    return 0
+    mismatched = disagreements(rows)
+    for line in mismatched:
+        print(f"sides disagree on {line}", file=sys.stderr)
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":

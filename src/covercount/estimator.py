@@ -14,6 +14,17 @@
 A depth budget of L certifies the result to within 3 * (1/2)^(L+1) of
 the true marginal.  Every value produced lies in [0, 1/2].
 
+The recursion has two parts.  The root dispatch (``_recurse``) takes
+every case above and runs once per marginal, and once more for each
+child of a normal root.  Below the root every node is dangling or free,
+because its parent has already detached the vertex it shared with its
+siblings; the kernel ``_dangling`` runs all of those nodes.  A parent
+answers its leaf children itself, with no call: a truncated child is
+1/2, so a node whose children are all truncated returns a value looked
+up by their number, and a free child is 1/2 too.  Only a dangling child
+with budget left costs a call.  ``on_node`` still sees every leaf, in
+visiting order, and traced and untraced runs take the same path.
+
 The recursion never builds a subgraph.  It walks a live view of the
 input graph (``_Workspace``): the graph's own immutable endpoint and
 incidence maps plus one live flag per edge and per vertex.  A branch
@@ -108,9 +119,11 @@ class _Workspace:
     edge always reads back as (u, v) with u < v; a live vertex's live
     incident edges are the live entries of ``inc``, already in ascending id
     order.  The recursion clears the flags of each branch and sets them
-    again before it returns.  ``truncated`` is set by every truncated leaf
-    and never cleared by the recursion.  Not part of the public
-    persistent-value contract.
+    again before it returns.  ``truncated`` is set whenever a truncated
+    leaf is reached, by the root dispatch for a root at depth <= 0 and by
+    the kernel for a node whose children are all truncated, and is never
+    cleared by the recursion.  Not part of the public persistent-value
+    contract.
     """
 
     __slots__ = ("ends", "inc", "edge_live", "vert_live", "truncated")
@@ -134,6 +147,8 @@ class _Workspace:
 
 
 def _recurse(ws: _Workspace, e: int, depth: int, on_node: Optional[TraceFn]) -> float:
+    # Root dispatch: every case, once per marginal and once per child of a
+    # normal root.  Every dangling node, root or not, runs in _dangling.
     if depth <= 0:
         ws.truncated = True
         if on_node is not None:
@@ -145,27 +160,13 @@ def _recurse(ws: _Workspace, e: int, depth: int, on_node: Optional[TraceFn]) -> 
         if on_node is not None:
             on_node(depth, e, EdgeKind.FREE, "free")
         return 0.5
-
-    inc = ws.inc
-    edge_live = ws.edge_live
     if len(ends) == 1:
-        if on_node is not None:
-            on_node(depth, e, EdgeKind.DANGLING, "dangling")
-        u = ends[0]
-        others = [x for x in inc[u] if edge_live[x] and x != e]
-        child_depth = depth_discount(depth, len(others))
-        edge_live[e] = vert_live[u] = False
-        children = []
-        for child in others:
-            children.append(_recurse(ws, child, child_depth, on_node))
-            edge_live[child] = False
-        for child in others:
-            edge_live[child] = True
-        edge_live[e] = vert_live[u] = True
-        return dangling_combine(children)
+        return _dangling(ws, e, ends[0], depth, on_node)
 
     if on_node is not None:
         on_node(depth, e, EdgeKind.NORMAL, "normal")
+    inc = ws.inc
+    edge_live = ws.edge_live
     u, v = ends
     at_u = [x for x in inc[u] if edge_live[x] and x != e]
     at_v = [x for x in inc[v] if edge_live[x] and x != e]
@@ -193,6 +194,60 @@ def _recurse(ws: _Workspace, e: int, depth: int, on_node: Optional[TraceFn]) -> 
         edge_live[child] = True
     edge_live[e] = vert_live[u] = vert_live[v] = True
     return normal_combine(x, y, z)
+
+
+def _dangling(ws: _Workspace, e: int, u: int, depth: int, on_node: Optional[TraceFn]) -> float:
+    # Kernel for a dangling edge e at its one live endpoint u, depth > 0.
+    # Each child has lost u, so it is free or dangling at its other
+    # endpoint; leaf children (truncated or free) are answered here
+    # without a call.
+    if on_node is not None:
+        on_node(depth, e, EdgeKind.DANGLING, "dangling")
+    edge_live = ws.edge_live
+    vert_live = ws.vert_live
+    others = [x for x in ws.inc[u] if edge_live[x] and x != e]
+    k = len(others)
+    child_depth = depth - (_STEPS[k] if k < _TABLE_SIZE else _ceil_log6(k + 1))
+    if child_depth <= 0:
+        if k:
+            ws.truncated = True
+            if on_node is not None:
+                vert_live[u] = False
+                for child in others:
+                    on_node(child_depth, child, _KINDS[len(ws.live_ends(child))], "base")
+                vert_live[u] = True
+        return _LEAVES[k] if k < _TABLE_SIZE else _all_truncated(k)
+
+    ends = ws.ends
+    edge_live[e] = vert_live[u] = False
+    children = []
+    for child in others:
+        a, b = ends[child][0], ends[child][-1]  # u is one of them, and dead
+        if vert_live[a]:
+            children.append(_dangling(ws, child, a, child_depth, on_node))
+        elif vert_live[b]:
+            children.append(_dangling(ws, child, b, child_depth, on_node))
+        else:
+            if on_node is not None:
+                on_node(child_depth, child, EdgeKind.FREE, "free")
+            children.append(0.5)
+        edge_live[child] = False
+    for child in others:
+        edge_live[child] = True
+    edge_live[e] = vert_live[u] = True
+    return dangling_combine(children)
+
+
+def _all_truncated(k: int) -> float:
+    """A dangling node's value when all k of its children are truncated leaves."""
+    return dangling_combine([0.5] * k)
+
+
+# Per sibling count k < _TABLE_SIZE: the depth cost ceil(log6(k + 1)) and
+# the all-truncated value; larger k falls back to computing them.
+_TABLE_SIZE = 64
+_STEPS = [_ceil_log6(k + 1) for k in range(_TABLE_SIZE)]
+_LEAVES = [_all_truncated(k) for k in range(_TABLE_SIZE)]
 
 
 _KINDS = {0: EdgeKind.FREE, 1: EdgeKind.DANGLING, 2: EdgeKind.NORMAL}

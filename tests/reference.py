@@ -4,14 +4,16 @@
 workspace and never builds a subgraph.  This module spells the same
 recursion out over persistent ``Graph`` values: the chain subinstances
 of a dangling or normal edge, and ``reference_marginal``, which the
-tests pin the production recursion against bit for bit.
+tests pin the production recursion against bit for bit and, through
+its ``on_node`` hook, node for node.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
-from covercount.estimator import dangling_combine, depth_discount, normal_combine
+from covercount.estimator import TraceFn, dangling_combine, depth_discount, normal_combine
 from covercount.graph import EdgeKind, Graph
 
 
@@ -77,15 +79,22 @@ def normal_subinstances(
     return first, second, third
 
 
-def reference_marginal(g: Graph, e: int, depth: int) -> float:
+def reference_marginal(g: Graph, e: int, depth: int, on_node: Optional[TraceFn] = None) -> float:
     """Plain persistent-graph transcription of the truncated recursion.
 
     Independent of the workspace-based implementation; used to pin the
-    production recursion to the subinstance builders above.
+    production recursion to the subinstance builders above.  ``on_node``,
+    if given, receives (depth, edge, kind, branch) for every node in the
+    order the recursion visits them: a node before its children, and a
+    normal node's X family before its Y family before its Z family.
     """
-    if depth <= 0:
-        return 0.5
     kind = g.classify(e)
+    if depth <= 0:
+        if on_node is not None:
+            on_node(depth, e, kind, "base")
+        return 0.5
+    if on_node is not None:
+        on_node(depth, e, kind, kind.value)  # the branch is named after the kind
     if kind is EdgeKind.FREE:
         return 0.5
     if kind is EdgeKind.DANGLING:
@@ -93,10 +102,10 @@ def reference_marginal(g: Graph, e: int, depth: int) -> float:
         d = len(g.incident_edges(u)) - 1
         child_depth = depth_discount(depth, d)
         return dangling_combine(
-            [reference_marginal(sub, child, child_depth) for sub, child in dangling_subinstances(g, e)]
+            [reference_marginal(sub, child, child_depth, on_node) for sub, child in dangling_subinstances(g, e)]
         )
     first, second, third = normal_subinstances(g, e)
-    x = math.prod(reference_marginal(sub, child, depth) for sub, child in first)
-    y = math.prod(reference_marginal(sub, child, depth) for sub, child in second)
-    z = math.prod(reference_marginal(sub, child, depth) for sub, child in third)
+    x = math.prod(reference_marginal(sub, child, depth, on_node) for sub, child in first)
+    y = math.prod(reference_marginal(sub, child, depth, on_node) for sub, child in second)
+    z = math.prod(reference_marginal(sub, child, depth, on_node) for sub, child in third)
     return normal_combine(x, y, z)

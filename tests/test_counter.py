@@ -168,14 +168,20 @@ class TestSharedWorkspace:
         # parallel (0, 3), dangling (4) and free (5) edges; every top-level
         # call, on the fresh workspace and after each conditioning step
         g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 1), (1,), ()])
-        ws = _Workspace(g)
-        for e in g.edge_ids:
-            for depth in (0, 1, 2, 5, 9):
-                edge_live, vert_live = dict(ws.edge_live), dict(ws.vert_live)
-                _recurse(ws, e, depth, None)
-                assert ws.edge_live == edge_live
-                assert ws.vert_live == vert_live
-            ws.condition(e)
+        # a hub with eight leaves, two of them doubled, a pendant at the hub
+        # and one at leaf 3: at depths 1-3 its dangling nodes have every
+        # child truncated, and the traced form of that case toggles the hub
+        star = Graph.from_edges([(0,), *((0, i) for i in range(1, 9)), (0, 1), (0, 2), (3,)])
+        for graph, depths in ((g, (0, 1, 2, 5, 9)), (star, (1, 2, 3))):
+            for on_node in (None, lambda *a: None):
+                ws = _Workspace(graph)
+                for e in graph.edge_ids:
+                    for depth in depths:
+                        edge_live, vert_live = dict(ws.edge_live), dict(ws.vert_live)
+                        _recurse(ws, e, depth, on_node)
+                        assert ws.edge_live == edge_live
+                        assert ws.vert_live == vert_live
+                    ws.condition(e)
 
     def test_condition_leaves_the_next_chain_graph(self):
         g = random_multigraph(1656, max_edges=14)

@@ -16,6 +16,7 @@ from covercount.estimator import (
     estimate_marginal,
     normal_combine,
 )
+from covercount.generate import random_multigraph
 from covercount.graph import EdgeKind, Graph
 from covercount.oracle import exact_count, exact_marginal
 from covercount.verify import exhaustive_small_graphs
@@ -220,6 +221,20 @@ class TestEstimateMarginal:
                 for depth in (0, 1, 3, 6):
                     assert estimate_marginal(g, e, depth) == reference_marginal(g, e, depth)
 
+    def test_node_stream_matches_reference_recursion(self):
+        # pins the --trace stream: same nodes, same order, same values
+        mismatched = []
+        for seed in range(300):
+            g = random_multigraph(seed, max_edges=14)
+            for e in g.edge_ids:
+                for depth in range(9):
+                    got, want = [], []
+                    value = estimate_marginal(g, e, depth, on_node=lambda *a: got.append(a))
+                    expected = reference_marginal(g, e, depth, on_node=lambda *a: want.append(a))
+                    if value.hex() != expected.hex() or got != want:
+                        mismatched.append((seed, e, depth))
+        assert mismatched == []
+
     def test_deterministic_across_calls_and_rebuilds(self):
         rng = random.Random(37)
         for _ in range(20):
@@ -256,15 +271,19 @@ class TestDepthSweep:
     )
     def test_visits_fewer_nodes_than_separate_calls(self, edges, monkeypatch):
         g = Graph.from_edges(edges)
-        recurse = estimator._recurse
         nodes = 0
 
-        def counted(*args):
-            nonlocal nodes
-            nodes += 1
-            return recurse(*args)
+        def counting(fn):
+            def counted(*args):
+                nonlocal nodes
+                nodes += 1
+                return fn(*args)
 
-        monkeypatch.setattr(estimator, "_recurse", counted)
+            return counted
+
+        # roots enter _recurse; every dangling node below them is a _dangling call
+        monkeypatch.setattr(estimator, "_recurse", counting(estimator._recurse))
+        monkeypatch.setattr(estimator, "_dangling", counting(estimator._dangling))
         for e in g.edge_ids:
             nodes = 0
             depth_sweep(g, e, 12)
@@ -273,6 +292,41 @@ class TestDepthSweep:
             for L in range(13):
                 estimate_marginal(g, e, L)
             assert 0 < swept < nodes
+
+
+class TestDanglingKernel:
+    """The kernel's per-sibling-count tables against the definitions they cache."""
+
+    @staticmethod
+    def hub(siblings):
+        # edge 0 dangles at vertex 0 next to `siblings` edges (0, i), all dead
+        g = Graph.from_edges([(0,), *((0, i) for i in range(1, siblings + 1))])
+        ws = estimator._Workspace(g)
+        for i in range(1, siblings + 1):
+            ws.edge_live[i] = False
+        return ws
+
+    def test_discount_table_matches_depth_discount(self):
+        assert all(estimator._STEPS[k] == 10 - depth_discount(10, k) for k in range(estimator._TABLE_SIZE))
+        # past the table's end, through the fallback's step at k + 1 = 217
+        ws = self.hub(230)
+        for k in range(231):
+            if k:
+                ws.edge_live[k] = True
+            nodes = []
+            estimator._dangling(ws, 0, 0, 10, lambda *a: nodes.append(a))
+            assert [d for d, *_ in nodes] == [10] + [depth_discount(10, k)] * k
+
+    def test_all_truncated_value_matches_dangling_combine(self):
+        # past k = 1074 the product 2^-k underflows to zero
+        ws = self.hub(1100)
+        for k in range(1101):
+            if k:
+                ws.edge_live[k] = True
+            ws.truncated = False
+            value = estimator._dangling(ws, 0, 0, 1, None)
+            assert value.hex() == dangling_combine([0.5] * k).hex()
+            assert ws.truncated == (k > 0)
 
 
 class TestDecayBounds:
