@@ -1,30 +1,31 @@
-"""Best-of-N wall time of ``estimate_count`` on cycles, grids and complete
-graphs, for one or more checkouts.
+"""Best-of-5 wall time of ``estimate_count`` at eps 0.2 on cycles, grids and
+complete graphs, for one or more source trees.
 
     python scripts/bench_cycles.py --out BENCH_flat_workspace.json \\
-        --side parent=../parent/src:grid6x6,k8,cycle1000 \\
-        --side change=src:grid6x6,k8,cycle1000
+        --side parent=../parent/src --side change=src \\
+        --instances grid6x6,k8,cycle1000
 
-Each ``--side LABEL=SRC:INSTANCES`` names a checkout's ``src`` directory
-and the instances to run on it: ``cycle<n>`` (a bare ``<n>`` means the
-same), ``grid<r>x<c>`` and ``k<n>``.  Every (side, instance) runs in
-``PROCESSES`` fresh interpreters with that ``src`` on PYTHONPATH, the
-sides taking turns within each instance (the first side leads in even
-rounds, the last in odd ones).  In each process one untimed count with
-an ``on_node`` counter gives the recursion node total, then
-``--repeats`` timed counts give that process's best wall time.  Each
-row is one process; ``ratios`` holds, per instance, the median over
+Each ``--side LABEL=SRC`` names a source tree (a checkout's ``src``),
+recorded as its path and the sha256 of its ``*.py`` files.  Every
+instance (``cycle<n>``, ``grid<r>x<c>`` or ``k<n>``) runs on every side
+in ``PROCESSES`` fresh interpreters per side with that ``src`` on
+PYTHONPATH, the sides taking turns within each instance (the first side
+leads in even rounds, the last in odd ones).  In each process one
+untimed count with an ``on_node`` counter gives the recursion node
+total, then ``REPEATS`` timed counts give that process's best wall time.
+Each row is one process; ``ratios`` holds, per instance, the median over
 rounds of each side's best time over the first side's best in the same
 round.  The output records the machine's ``nproc`` and the Python
 version with the rows.  Each row also holds the count's ``value_hex``
 (``ApproxCount.value.hex()``); after writing the record the script
-exits nonzero if two sides disagree on ``nodes`` or ``value_hex`` for
-the same instance.
+exits nonzero if a run failed or two sides disagree on ``nodes`` or
+``value_hex`` for the same instance.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -34,6 +35,8 @@ import sys
 import time
 from pathlib import Path
 
+EPSILON = 0.2
+REPEATS = 5  # timed counts per interpreter, of which the best is kept
 PROCESSES = 5  # fresh interpreters per (side, instance)
 
 
@@ -43,8 +46,6 @@ def build(instance: str):
     from covercount.graph import Graph
 
     name = instance.lower()
-    if name.isdigit():
-        return cycle_graph(int(name))
     if name.startswith("cycle"):
         return cycle_graph(int(name[5:]))
     if name.startswith("grid"):
@@ -58,7 +59,7 @@ def build(instance: str):
     raise ValueError(f"unknown instance {instance!r}; expected cycle<n>, grid<r>x<c> or k<n>")
 
 
-def measure(instance: str, eps: float, repeats: int) -> dict:
+def measure(instance: str) -> dict:
     """Run inside the child interpreter."""
     from covercount.counter import estimate_count
 
@@ -69,11 +70,11 @@ def measure(instance: str, eps: float, repeats: int) -> dict:
         nonlocal nodes
         nodes += 1
 
-    result = estimate_count(g, eps, on_node=bump)
+    result = estimate_count(g, EPSILON, on_node=bump)
     walls = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
-        estimate_count(g, eps)
+        estimate_count(g, EPSILON)
         walls.append(time.perf_counter() - start)
     best = min(walls)
     return {
@@ -90,9 +91,9 @@ def measure(instance: str, eps: float, repeats: int) -> dict:
     }
 
 
-def run_child(src: Path, instance: str, eps: float, repeats: int) -> dict:
+def run_child(src: Path, instance: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()), PYTHONHASHSEED="0")
-    cmd = [sys.executable, __file__, "--child", instance, "--epsilon", str(eps), "--repeats", str(repeats)]
+    cmd = [sys.executable, __file__, "--child", instance]
     proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         last = proc.stderr.strip().splitlines()[-1] if proc.stderr.strip() else f"exit {proc.returncode}"
@@ -100,17 +101,14 @@ def run_child(src: Path, instance: str, eps: float, repeats: int) -> dict:
     return json.loads(proc.stdout)
 
 
-def git_state(src: Path) -> dict:
-    """The checkout's commit, and whether ``src`` differs from it."""
-
-    def git(*argv: str) -> str:
-        cmd = ["git", "-C", str(src), *argv]
-        return subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True).stdout.strip()
-
-    return {
-        "commit": git("rev-parse", "--short", "HEAD") or None,
-        "uncommitted_changes": bool(git("status", "--porcelain", "--", ".")),
-    }
+def source_digest(src: Path) -> str:
+    """sha256 of the tree's ``*.py`` files: relative path and bytes, in sorted path order."""
+    digest = hashlib.sha256()
+    for rel in sorted(path.relative_to(src).as_posix() for path in src.rglob("*.py")):
+        data = (src / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def median_ratios(rows: list[dict], base: str) -> list[dict]:
@@ -144,42 +142,38 @@ def disagreements(rows: list[dict]) -> list[str]:
     ]
 
 
-def parse_side(spec: str) -> tuple[str, Path, list[str]]:
-    label, rest = spec.split("=", 1)
-    src, instances = rest.rsplit(":", 1)
-    return label, Path(src), [tok for tok in instances.split(",") if tok]
+def parse_side(spec: str) -> tuple[str, Path]:
+    label, src = spec.split("=", 1)
+    return label, Path(src)
 
 
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--side", action="append", type=parse_side, default=[], help="LABEL=SRC:INSTANCE,...")
-    p.add_argument("--epsilon", type=float, default=0.2)
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--side", action="append", type=parse_side, default=[], help="LABEL=SRC")
+    p.add_argument(
+        "--instances", type=lambda s: [tok for tok in s.split(",") if tok], default=[], help="INSTANCE,..."
+    )
     p.add_argument("--out", type=Path)
     p.add_argument("--child", help=argparse.SUPPRESS)
     args = p.parse_args()
 
     if args.child is not None:
-        print(json.dumps(measure(args.child, args.epsilon, args.repeats)))
+        print(json.dumps(measure(args.child)))
         return 0
 
-    sides = {label: git_state(src) for label, src, _ in args.side}
-    # i-th instance of every side, then the (i+1)-th, each in PROCESSES
-    # rounds that alternate the sides' order: a drift in machine speed
-    # then hits the sides alike instead of one side's whole list
-    jobs = []
-    for i in range(max((len(instances) for _, _, instances in args.side), default=0)):
-        present = [(label, src, instances[i]) for label, src, instances in args.side if i < len(instances)]
-        for r in range(PROCESSES):
-            jobs.extend((r, *job) for job in (present if r % 2 == 0 else present[::-1]))
+    sides = {label: {"src": str(src), "sha256": source_digest(src)} for label, src in args.side}
     rows = []
-    for r, label, src, instance in jobs:
-        row = {"side": label, "round": r, **run_child(src, instance, args.epsilon, args.repeats)}
-        print(json.dumps(row), file=sys.stderr)
-        rows.append(row)
+    for instance in args.instances:
+        # PROCESSES rounds that alternate the sides' order: a drift in
+        # machine speed then hits the sides alike
+        for r in range(PROCESSES):
+            for label, src in args.side if r % 2 == 0 else args.side[::-1]:
+                row = {"side": label, "round": r, **run_child(src, instance)}
+                print(json.dumps(row), file=sys.stderr)
+                rows.append(row)
     record = {
         "what": (
-            f"best-of-{args.repeats} wall time of estimate_count(g, {args.epsilon}) "
+            f"best-of-{REPEATS} wall time of estimate_count(g, {EPSILON}) "
             f"in each of {PROCESSES} fresh interpreters per side and instance"
         ),
         "nproc": len(os.sched_getaffinity(0)),
@@ -197,7 +191,10 @@ def main() -> int:
     mismatched = disagreements(rows)
     for line in mismatched:
         print(f"sides disagree on {line}", file=sys.stderr)
-    return 1 if mismatched else 0
+    failed = sum("error" in row for row in rows)
+    if failed:
+        print(f"{failed} of {len(rows)} runs failed", file=sys.stderr)
+    return 1 if mismatched or failed else 0
 
 
 if __name__ == "__main__":

@@ -149,13 +149,12 @@ class _Workspace:
 def _recurse(ws: _Workspace, e: int, depth: int, on_node: Optional[TraceFn]) -> float:
     # Root dispatch: every case, once per marginal and once per child of a
     # normal root.  Every dangling node, root or not, runs in _dangling.
+    ends = ws.live_ends(e)
     if depth <= 0:
         ws.truncated = True
         if on_node is not None:
-            on_node(depth, e, _KINDS[len(ws.live_ends(e))], "base")
+            on_node(depth, e, _KINDS[len(ends)], "base")
         return 0.5
-    vert_live = ws.vert_live
-    ends = [u for u in ws.ends[e] if vert_live[u]]  # ws.live_ends(e), inlined on the hot path
     if not ends:
         if on_node is not None:
             on_node(depth, e, EdgeKind.FREE, "free")
@@ -167,6 +166,7 @@ def _recurse(ws: _Workspace, e: int, depth: int, on_node: Optional[TraceFn]) -> 
         on_node(depth, e, EdgeKind.NORMAL, "normal")
     inc = ws.inc
     edge_live = ws.edge_live
+    vert_live = ws.vert_live
     u, v = ends
     at_u = [x for x in inc[u] if edge_live[x] and x != e]
     at_v = [x for x in inc[v] if edge_live[x] and x != e]
@@ -212,10 +212,9 @@ def _dangling(ws: _Workspace, e: int, u: int, depth: int, on_node: Optional[Trac
         if k:
             ws.truncated = True
             if on_node is not None:
-                vert_live[u] = False
+                # every child's live ends include u, which its subinstance detaches
                 for child in others:
-                    on_node(child_depth, child, _KINDS[len(ws.live_ends(child))], "base")
-                vert_live[u] = True
+                    on_node(child_depth, child, _KINDS[len(ws.live_ends(child)) - 1], "base")
         return _LEAVES[k] if k < _TABLE_SIZE else _all_truncated(k)
 
     ends = ws.ends

@@ -133,8 +133,7 @@ def identity_suite(counted) -> SuiteResult:
     violations = 0
     checked = 0
     for g, z, without in counted:
-        # a free edge appended with a fresh largest id doubles the count;
-        # it adds no DP state, so it may take the oracle one edge past the cap
+        # a free edge appended with a fresh largest id doubles the count
         free_id = (max(g.edge_ids) + 1) if g.edge_count else 0
         doubled = Graph(g.vertices, [(e, g.endpoints(e)) for e in g.edge_ids] + [(free_id, ())])
         checked += 1
@@ -147,12 +146,12 @@ def identity_suite(counted) -> SuiteResult:
             u, v = g.endpoints(e)
             conditioned = g.remove_edge(e).detach_vertex(u).detach_vertex(v)
             checked += 1
-            if z != without[e] + exact_count(conditioned):
+            if z != without[e] + exact_count(conditioned, cap=conditioned.edge_count):
                 violations += 1
     # forced single-edge cases
     for g in (Graph.from_edges([(0, 1)]), Graph.from_edges([(0,)])):
         checked += 1
-        if exact_count(g) != 1 or exact_marginal(g, 0) != 0:
+        if exact_count(g, cap=g.edge_count) != 1 or exact_marginal(g, 0, cap=g.edge_count) != 0:
             violations += 1
     return SuiteResult("exact-identities", violations == 0, f"checked={checked} violations={violations}")
 
@@ -214,10 +213,14 @@ def run_verification(
     instances: int = 120,
     trials: int = 20_000,
 ) -> list[SuiteResult]:
-    counted = [
-        (g, exact_count(g), {e: exact_count(g.remove_edge(e)) for e in g.edge_ids})
-        for g in verification_corpus(max_edges, seed, instances)
-    ]
+    # Every oracle call is capped by its own graph's edge count: the corpus
+    # is bounded by max_edges and its graphs have at most 7 vertices, so the
+    # DP holds at most 2^7 states at any max_edges.
+    counted = []
+    for g in verification_corpus(max_edges, seed, instances):
+        deleted = {e: g.remove_edge(e) for e in g.edge_ids}
+        without = {e: exact_count(h, cap=h.edge_count) for e, h in deleted.items()}
+        counted.append((g, exact_count(g, cap=g.edge_count), without))
     results = marginal_suites(counted)
     results.extend(fptas_suite(counted, epsilons))
     results.append(identity_suite(counted))

@@ -1,14 +1,50 @@
-"""scripts/bench_cycles.py names every instance whose sides disagree."""
+"""scripts/bench_cycles.py names each side by its source content, names every
+instance whose sides disagree, and fails when a run fails."""
 
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def test_disagreements_name_instances_whose_nodes_or_values_differ(monkeypatch):
+@pytest.fixture
+def bench(monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS))
-    from bench_cycles import disagreements
+    import bench_cycles
 
+    return bench_cycles
+
+
+def make_tree(root: Path, estimator: bytes = b"X = 1\n") -> Path:
+    (root / "covercount").mkdir(parents=True)
+    (root / "covercount" / "__init__.py").write_bytes(b"")
+    (root / "covercount" / "estimator.py").write_bytes(estimator)
+    return root
+
+
+def test_byte_identical_trees_get_one_digest(bench, tmp_path):
+    assert bench.source_digest(make_tree(tmp_path / "a")) == bench.source_digest(make_tree(tmp_path / "b"))
+
+
+def test_a_one_byte_edit_changes_the_digest(bench, tmp_path):
+    a = make_tree(tmp_path / "a", b"X = 1\n")
+    b = make_tree(tmp_path / "b", b"X = 2\n")
+    assert bench.source_digest(a) != bench.source_digest(b)
+
+
+def test_compiled_files_leave_the_digest_alone(bench, tmp_path):
+    tree = make_tree(tmp_path / "a")
+    before = bench.source_digest(tree)
+    (tree / "covercount" / "__pycache__").mkdir()
+    (tree / "covercount" / "__pycache__" / "estimator.cpython-311.pyc").write_bytes(b"\x00compiled")
+    assert bench.source_digest(tree) == before
+
+
+def test_disagreements_name_instances_whose_nodes_or_values_differ(bench):
     def row(side, instance, nodes, value_hex):
         return {"side": side, "instance": instance, "nodes": nodes, "value_hex": value_hex}
 
@@ -16,7 +52,20 @@ def test_disagreements_name_instances_whose_nodes_or_values_differ(monkeypatch):
     rows += [row("parent", "grid6x6", 10, "0x1.0p+0"), row("change", "grid6x6", 11, "0x1.0p+0")]
     rows += [row("parent", "cycle9", 10, "0x1.0p+0"), row("change", "cycle9", 10, "0x1.8p+0")]
     rows.append({"side": "change", "instance": "k8", "error": "MemoryError"})
-    assert disagreements(rows) == [
+    assert bench.disagreements(rows) == [
         "grid6x6: nodes=10 value=0x1.0p+0 from ['parent']; nodes=11 value=0x1.0p+0 from ['change']",
         "cycle9: nodes=10 value=0x1.0p+0 from ['parent']; nodes=10 value=0x1.8p+0 from ['change']",
     ]
+
+
+def test_failed_runs_make_the_exit_nonzero_after_the_record(tmp_path):
+    broken = make_tree(tmp_path / "broken")
+    (broken / "covercount" / "__init__.py").write_text("raise ImportError('broken on purpose')\n")
+    out = tmp_path / "record.json"
+    argv = [str(SCRIPTS / "bench_cycles.py"), "--side", f"broken={broken}", "--instances", "cycle5", "--out", str(out)]
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
+
+    assert proc.returncode == 1, proc.stderr
+    record = json.loads(out.read_text())
+    assert [row["error"] for row in record["rows"]] == ["ImportError: broken on purpose"] * 5
+    assert record["ratios"] == []

@@ -170,7 +170,8 @@ class TestSharedWorkspace:
         g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 1), (1,), ()])
         # a hub with eight leaves, two of them doubled, a pendant at the hub
         # and one at leaf 3: at depths 1-3 its dangling nodes have every
-        # child truncated, and the traced form of that case toggles the hub
+        # child truncated, and the traced form of that case classifies each
+        # child while the hub is still live
         star = Graph.from_edges([(0,), *((0, i) for i in range(1, 9)), (0, 1), (0, 2), (3,)])
         for graph, depths in ((g, (0, 1, 2, 5, 9)), (star, (1, 2, 3))):
             for on_node in (None, lambda *a: None):

@@ -1,6 +1,7 @@
+import inspect
 from collections import Counter
 
-from covercount import oracle, verify
+from covercount import cli, oracle, verify
 from covercount.generate import cycle_graph
 from covercount.graph import Graph, format_graph
 
@@ -40,3 +41,18 @@ def test_a_graph_at_the_edge_cap_passes_the_identities(monkeypatch):
     results = verify.run_verification(max_edges=24, trials=1)
 
     assert all(r.passed for r in results), results
+
+
+def test_a_corpus_past_the_default_oracle_cap_passes():
+    results = verify.run_verification(max_edges=30, instances=40, trials=1)
+
+    assert all(r.passed for r in results), results
+
+
+def test_the_verify_command_defaults_are_run_verifications():
+    # perfbench's verify-sweep reads the parser's defaults; the acceptance gate calls run_verification()
+    ns = cli.build_parser().parse_args(["verify"])
+    params = inspect.signature(verify.run_verification).parameters
+    parsed = {name: getattr(ns, name) for name in params}
+    parsed["epsilons"] = tuple(parsed["epsilons"])
+    assert parsed == {name: p.default for name, p in params.items()}
