@@ -6,11 +6,12 @@ complete graphs, for one or more source trees.
         --instances grid6x6,k8,cycle1000
 
 Each ``--side LABEL=SRC`` names a source tree (a checkout's ``src``),
-recorded as its path and the sha256 of its ``*.py`` files.  Every
-instance (``cycle<n>``, ``grid<r>x<c>`` or ``k<n>``) runs on every side
-in ``PROCESSES`` fresh interpreters per side with that ``src`` on
-PYTHONPATH, the sides taking turns within each instance (the first side
-leads in even rounds, the last in odd ones).  In each process one
+recorded as its path and the sha256 of its ``*.py`` files; a label given
+twice is an error before anything runs.  Every instance (``cycle<n>``,
+``grid<r>x<c>`` or ``k<n>``) runs on every side in ``PROCESSES`` fresh
+interpreters per side with that ``src`` on PYTHONPATH, the sides taking
+turns within each instance (the first side leads in even rounds, the
+last in odd ones).  In each process one
 untimed count with an ``on_node`` counter gives the recursion node
 total, then ``REPEATS`` timed counts give that process's best wall time.
 Each row is one process; ``ratios`` holds, per instance, the median over
@@ -160,6 +161,10 @@ def main() -> int:
     if args.child is not None:
         print(json.dumps(measure(args.child)))
         return 0
+    labels = [label for label, _ in args.side]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        p.error(f"repeated --side label {', '.join(repeated)}: each side needs its own")
 
     sides = {label: {"src": str(src), "sha256": source_digest(src)} for label, src in args.side}
     rows = []

@@ -7,7 +7,7 @@ from .cnf import CnfFormatError, RtwMonCnf, count_solutions, parse_cnf, render_c
 from .counter import ApproxCount, depth_for, estimate_count
 from .estimator import ContractViolationError, dangling_combine, depth_discount, estimate_marginal, normal_combine
 from .graph import EdgeKind, Graph, GraphFormatError, format_graph, parse_graph
-from .oracle import DEFAULT_EDGE_CAP, NoEdgeCoverError, OracleSizeError, exact_count, exact_marginal
+from .oracle import DEFAULT_FRONTIER_CAP, NoEdgeCoverError, OracleSizeError, exact_count, exact_marginal
 
 __version__ = "0.1.0"
 
@@ -15,7 +15,7 @@ __all__ = [
     "ApproxCount",
     "CnfFormatError",
     "ContractViolationError",
-    "DEFAULT_EDGE_CAP",
+    "DEFAULT_FRONTIER_CAP",
     "EdgeKind",
     "Graph",
     "GraphFormatError",

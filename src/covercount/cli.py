@@ -22,7 +22,7 @@ from .counter import depth_for, estimate_count
 from .estimator import estimate_marginal
 from .generate import cycle_graph, random_multigraph, star_graph
 from .graph import EdgeKind, Graph, parse_graph
-from .oracle import DEFAULT_EDGE_CAP, exact_count, exact_marginal
+from .oracle import DEFAULT_FRONTIER_CAP, exact_count, exact_marginal
 from .verify import run_verification
 
 _KIND_CHAR = {EdgeKind.NORMAL: "N", EdgeKind.DANGLING: "D", EdgeKind.FREE: "F"}
@@ -153,6 +153,16 @@ def _epsilon_list(value: str) -> list[float]:
     return [_epsilon(tok) for tok in value.split(",") if tok]
 
 
+def _int_at_least(low: int):
+    def integer(value: str) -> int:
+        n = int(value)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return n
+
+    return integer
+
+
 def _int_list(value: str) -> list[int]:
     return [int(tok) for tok in value.split(",") if tok]
 
@@ -166,9 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact count of a graph file by a frontier dynamic program")
     p.add_argument("graph")
-    p.add_argument(
-        "--cap", type=int, default=DEFAULT_EDGE_CAP, help="edge cap; the dynamic program holds at most 2^cap states"
-    )
+    cap_help = "most frontier vertices open at once; the DP holds at most 2^cap states"
+    p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_FRONTIER_CAP, help=cap_help)
     p.set_defaults(fn=cmd_exact)
 
     p = sub.add_parser("count", help="approximate count with the accuracy guarantee")
@@ -199,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-edges", type=int, default=12)
     p.add_argument("--epsilons", type=_epsilon_list, default=[0.5, 0.2, 0.1])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=120, help="random multigraphs per sweep")
-    p.add_argument("--trials", type=int, default=20_000, help="sensitivity trials per combinator")
+    p.add_argument("--instances", type=_int_at_least(0), default=120, help="random multigraphs per sweep")
+    p.add_argument("--trials", type=_int_at_least(1), default=20_000, help="sensitivity trials per combinator")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bench", help="CSV runtime/size sweep for one graph family")

@@ -45,6 +45,16 @@ def seeded_multigraphs(count: int, max_edges: int = 14, seed: int = RANDOM_CORPU
     return [random_multigraph(seed + i, max_edges=max_edges) for i in range(count)]
 
 
+def wide_frontier_graph(hubs: int) -> Graph:
+    """Hubs 0..hubs-1, each joined to leaves hubs+i and 2*hubs+i: 2*hubs edges.
+
+    The oracle's walk reaches every hub through its first leaf edge before
+    any hub's second one, so all hubs are open at once (frontier width
+    ``hubs``).  Every edge is a leaf's only edge, so the count is 1.
+    """
+    return Graph.from_edges([(i, hubs + i) for i in range(hubs)] + [(i, 2 * hubs + i) for i in range(hubs)])
+
+
 def independent_cover_count(g: Graph) -> int:
     """Reference enumerator kept separate from the package oracle: every
     edge subset, a bitmask over the edges, is checked against every

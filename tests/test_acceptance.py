@@ -240,7 +240,7 @@ def _from_nx(G: nx.Graph) -> Graph:
 
 
 def test_criterion_8_fptas_guarantee_at_scale():
-    # far past the 14-edge corpus, against the frontier DP with its cap raised
+    # far past the 14-edge corpus, against the frontier DP
     instances = {
         "grid6x6": _from_nx(nx.grid_2d_graph(6, 6)),
         "k8": _from_nx(nx.complete_graph(8)),
@@ -251,7 +251,7 @@ def test_criterion_8_fptas_guarantee_at_scale():
     low, high = math.log1p(-SCALE_EPSILON), math.log1p(SCALE_EPSILON)
     rows = []
     for name, g in instances.items():
-        gap = estimate_count(g, SCALE_EPSILON).log_value - math.log(exact_count(g, cap=g.edge_count))
+        gap = estimate_count(g, SCALE_EPSILON).log_value - math.log(exact_count(g))
         rows.append((name, g.edge_count, gap))
     ok = all(low <= gap <= high for _, _, gap in rows)
     detail = " ".join(f"{name}:m={m}:log_ratio={gap:.3e}" for name, m, gap in rows)

@@ -1,5 +1,6 @@
 """scripts/bench_cycles.py names each side by its source content, names every
-instance whose sides disagree, and fails when a run fails."""
+instance whose sides disagree, fails when a run fails, and refuses a side
+label given twice."""
 
 import json
 import subprocess
@@ -69,3 +70,18 @@ def test_failed_runs_make_the_exit_nonzero_after_the_record(tmp_path):
     record = json.loads(out.read_text())
     assert [row["error"] for row in record["rows"]] == ["ImportError: broken on purpose"] * 5
     assert record["ratios"] == []
+
+
+def test_a_repeated_side_label_fails_before_any_run(tmp_path):
+    # importing this tree leaves a marker file, so a started child would show
+    marker = tmp_path / "imported"
+    tree = make_tree(tmp_path / "a")
+    (tree / "covercount" / "__init__.py").write_text(f"open({str(marker)!r}, 'w').close()\n")
+    out = tmp_path / "record.json"
+    argv = [str(SCRIPTS / "bench_cycles.py"), "--side", f"x={tree}", "--side", f"x={tree}", "--instances", "cycle5"]
+    proc = subprocess.run([sys.executable, *argv, "--out", str(out)], capture_output=True, text=True)
+
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1].endswith("error: repeated --side label x: each side needs its own")
+    assert not marker.exists()
+    assert not out.exists()

@@ -6,7 +6,7 @@ from decimal import Decimal
 
 import pytest
 
-from conftest import lucas
+from conftest import lucas, wide_frontier_graph
 from covercount import cli
 from covercount.cli import main
 from covercount.generate import cycle_graph, path_graph
@@ -56,18 +56,34 @@ class TestExact:
         assert json.loads(out) == {"count": str(2**24)}
 
     def test_over_cap_fails_without_numbers(self, capsys, tmp_path):
-        path = tmp_path / "big.graph"
-        path.write_text("".join(f"f {i}\n" for i in range(30)))
+        path = tmp_path / "wide.graph"
+        path.write_text(format_graph(wide_frontier_graph(25)))
         code, out, err = run_cli(capsys, "exact", str(path))
         assert code == 1
         assert out == ""
         assert "oracle too large" in err
 
+    def test_free_edges_count_past_24_edges(self, capsys, tmp_path):
+        path = tmp_path / "free.graph"
+        path.write_text("".join(f"f {i}\n" for i in range(30)))
+        code, out, _ = run_cli(capsys, "exact", str(path))
+        assert code == 0
+        assert json.loads(out) == {"count": str(2**30)}
+
+    @pytest.mark.parametrize("argv", [["--cap", "-1"], ["--cap", "x"]])
+    def test_bad_cap_is_an_argparse_error(self, capsys, c4_file, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", c4_file, *argv])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert err.splitlines()[-1].startswith("covercount exact: error: argument --cap:")
+
     def test_counts_past_the_int_digit_limit_print_in_full(self, capsys, tmp_path):
         path = tmp_path / "cycle30000.graph"
         path.write_text(format_graph(cycle_graph(30_000)))
         limit = sys.get_int_max_str_digits()
-        code, out, _ = run_cli(capsys, "exact", str(path), "--cap", "30000")
+        code, out, _ = run_cli(capsys, "exact", str(path))
         assert code == 0
         count = json.loads(out)["count"]
         assert len(count) > limit  # str() of the int would raise ValueError
@@ -181,6 +197,14 @@ class TestFromCnf:
         assert 4.5 <= payload["count"] <= 5.5
         assert payload["log10_count"] == pytest.approx(math.log10(payload["count"]), rel=1e-12)
 
+    def test_ring_of_30_clauses_counts_exactly(self, capsys, tmp_path):
+        # each variable joins two neighbouring clauses: the graph is a 30-cycle
+        path = tmp_path / "ring30.cnf"
+        path.write_text("p cnf 30 30\n" + "".join(f"{i + 1} {(i + 1) % 30 + 1} 0\n" for i in range(30)))
+        code, out, _ = run_cli(capsys, "from-cnf", str(path), "--epsilon", "0.2", "--exact")
+        assert code == 0
+        assert json.loads(out)["exact"] == "1860498" == str(lucas(30))
+
     def test_bad_formula_diagnostic(self, capsys, tmp_path):
         path = tmp_path / "bad.cnf"
         path.write_text("p cnf 2 1\n1 -2 0\n")
@@ -207,6 +231,29 @@ class TestVerify:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out == SMALL_VERIFY_REPORT
+
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--trials", "-5", "--instances", "-3"], "argument --trials: must be at least 1, got -5"),
+            (["--trials", "0"], "argument --trials: must be at least 1, got 0"),
+            (["--instances", "-3"], "argument --instances: must be at least 0, got -3"),
+        ],
+        ids=["trials-5-instances-3", "trials0", "instances-3"],
+    )
+    def test_counts_below_their_floor_are_argparse_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == f"covercount verify: error: {message}"
+
+    def test_no_instances_is_allowed(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--max-edges", "3", "--instances", "0", "--trials", "1")
+        assert code == 0
+        assert out.splitlines()[-1] == "PASS total suites=9 failed=0"
 
 
 class TestBench:

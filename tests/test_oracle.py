@@ -4,8 +4,17 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import fibonacci, independent_cover_count, lucas, random_small_graph, seeded_multigraphs
+from conftest import (
+    fibonacci,
+    graphs,
+    independent_cover_count,
+    lucas,
+    random_small_graph,
+    seeded_multigraphs,
+    wide_frontier_graph,
+)
 from covercount.generate import cycle_graph, path_graph
 from covercount.graph import EdgeKind, Graph
 from covercount.oracle import NoEdgeCoverError, OracleSizeError, exact_count, exact_marginal
@@ -34,10 +43,23 @@ class TestExactCount:
         assert exact_count(Graph([0, 1], [(0, (0,))])) == 0
 
     def test_cap_enforced(self):
-        g = Graph.from_edges([()] * 25)
+        g = wide_frontier_graph(25)
         with pytest.raises(OracleSizeError, match="oracle too large"):
             exact_count(g)
-        assert exact_count(g, cap=25) == 2**25
+        assert exact_count(g, cap=25) == 1
+
+    def test_free_edges_hold_no_frontier(self):
+        assert exact_count(Graph.from_edges([()] * 30)) == 2**30
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=graphs())
+    def test_a_cap_of_the_edge_count_never_refuses(self, g):
+        # an open vertex has a walked and a pending edge, so the width is at most m
+        assert exact_count(g, cap=g.edge_count) == independent_cover_count(g)
+
+    def test_a_cap_of_the_edge_count_never_refuses_30_edge_multigraphs(self):
+        for g in seeded_multigraphs(200, max_edges=30):
+            assert exact_count(g, cap=g.edge_count) > 0  # the generator leaves no isolated vertex
 
     def test_matches_independent_enumerator(self):
         rng = random.Random(5)
@@ -163,11 +185,11 @@ class TestFrontierDp:
 
     def test_cycles_are_lucas_numbers(self):
         for n in [*range(3, 61), 2000]:
-            assert exact_count(cycle_graph(n), cap=n) == lucas(n)
+            assert exact_count(cycle_graph(n)) == lucas(n)
 
     def test_paths_are_fibonacci_numbers(self):
         for n in [*range(2, 61), 2000]:
-            assert exact_count(path_graph(n), cap=n) == fibonacci(n - 1)
+            assert exact_count(path_graph(n)) == fibonacci(n - 1)
 
 
 def test_import_pulls_in_no_numpy():
