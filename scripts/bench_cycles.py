@@ -161,10 +161,8 @@ def main() -> int:
     if args.child is not None:
         print(json.dumps(measure(args.child)))
         return 0
-    labels = [label for label, _ in args.side]
-    repeated = sorted({label for label in labels if labels.count(label) > 1})
-    if repeated:
-        p.error(f"repeated --side label {', '.join(repeated)}: each side needs its own")
+    if len(dict(args.side)) < len(args.side):
+        p.error("repeated --side label")
 
     sides = {label: {"src": str(src), "sha256": source_digest(src)} for label, src in args.side}
     rows = []

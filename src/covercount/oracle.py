@@ -67,14 +67,14 @@ def exact_count(g: Graph, cap: int = DEFAULT_FRONTIER_CAP) -> int:
     return states.get(0, 0) << (g.edge_count - len(walk))
 
 
-def exact_marginal(g: Graph, e: int, cap: int = DEFAULT_FRONTIER_CAP) -> Fraction:
+def exact_marginal(g: Graph, e: int) -> Fraction:
     """Exact probability that a uniformly random edge cover omits edge e.
 
     Covers of g that omit e are in bijection with covers of g minus e,
     so the marginal is ``|EC(g - e)| / |EC(g)|``.
     """
-    denom = exact_count(g, cap)
+    denom = exact_count(g)
     if denom == 0:
         raise NoEdgeCoverError("graph has no edge covers; marginal undefined")
-    num = exact_count(g.remove_edge(e), cap)
+    num = exact_count(g.remove_edge(e))
     return Fraction(num, denom)

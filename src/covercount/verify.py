@@ -65,31 +65,40 @@ def marginal_suites(counted) -> list[SuiteResult]:
     depth 0..MAX_DEPTH is checked; ``depth_sweep`` reuses a settled
     depth's value for the deeper ones.
     """
-    worst = worst_sharp = -1.0
-    worst_bound = worst_sharp_bound = 0.0
-    hi = lo = 0.0
-    ok = ok_sharp = ok_half = True
+    worst = -1.0
+    worst_bound = 0.0
+    worst_sharp = -1.0
+    worst_sharp_bound = 0.0
+    hi = 0.0
+    lo = 0.0
+    ok = True
+    ok_sharp = True
+    ok_half = True
     for g, z, without in counted:
         if z == 0:
             continue
         for e in g.edge_ids:
             exact = Fraction(without[e], z)
             sharp = g.classify(e) is not EdgeKind.NORMAL
-            ok_half &= 0 <= exact * 2 <= 1
+            if exact < 0 or exact * 2 > 1:
+                ok_half = False
             for L, est in enumerate(depth_sweep(g, e, MAX_DEPTH)):
                 err = abs(est - float(exact))
                 bound = 3.0 * 0.5 ** (L + 1)
                 if err > worst:
                     worst, worst_bound = err, bound
-                ok &= err <= bound + FLOAT_SLACK
+                if err > bound + FLOAT_SLACK:
+                    ok = False
                 if sharp:
                     bound1 = 0.5 ** (L + 1)
                     if err > worst_sharp:
                         worst_sharp, worst_sharp_bound = err, bound1
-                    ok_sharp &= err <= bound1 + FLOAT_SLACK
+                    if err > bound1 + FLOAT_SLACK:
+                        ok_sharp = False
                 hi = max(hi, est)
                 lo = min(lo, est)
-                ok_half &= 0.0 <= est <= 0.5 + HALF_SLACK
+                if not 0.0 <= est <= 0.5 + HALF_SLACK:
+                    ok_half = False
     return [
         SuiteResult("decay-bound", ok, f"worst_err={worst:.3e} bound_at_worst={worst_bound:.3e}"),
         SuiteResult(
@@ -109,23 +118,27 @@ def fptas_suite(counted, epsilons) -> list[SuiteResult]:
         for g, exact, _ in counted:
             approx = estimate_count(g, eps)
             if exact == 0:
-                ok &= approx.value == 0.0
+                if approx.value != 0.0:
+                    ok = False
                 continue
             rel = abs(approx.value / exact - 1.0)
             worst = max(worst, rel)
-            ok &= rel <= eps
+            if rel > eps:
+                ok = False
         results.append(SuiteResult(f"fptas-eps={eps}", ok, f"worst_rel_err={worst:.3e} allowed={eps}"))
     return results
 
 
 def identity_suite(counted) -> SuiteResult:
-    violations = checked = 0
+    violations = 0
+    checked = 0
     for g, z, without in counted:
         # a free edge appended with a fresh largest id doubles the count
         free_id = (max(g.edge_ids) + 1) if g.edge_count else 0
         doubled = Graph(g.vertices, [(e, g.endpoints(e)) for e in g.edge_ids] + [(free_id, ())])
         checked += 1
-        violations += exact_count(doubled) != 2 * z
+        if exact_count(doubled) != 2 * z:
+            violations += 1
         # split over any normal edge: covers without e plus covers with e
         for e in g.edge_ids:
             if g.classify(e) is not EdgeKind.NORMAL:
@@ -133,11 +146,13 @@ def identity_suite(counted) -> SuiteResult:
             u, v = g.endpoints(e)
             conditioned = g.remove_edge(e).detach_vertex(u).detach_vertex(v)
             checked += 1
-            violations += z != without[e] + exact_count(conditioned)
+            if z != without[e] + exact_count(conditioned):
+                violations += 1
     # forced single-edge cases
     for g in (Graph.from_edges([(0, 1)]), Graph.from_edges([(0,)])):
         checked += 1
-        violations += exact_count(g) != 1 or exact_marginal(g, 0) != 0
+        if exact_count(g) != 1 or exact_marginal(g, 0) != 0:
+            violations += 1
     return SuiteResult("exact-identities", violations == 0, f"checked={checked} violations={violations}")
 
 
@@ -156,7 +171,8 @@ def sensitivity_bounds_suite(seed: int, trials: int) -> list[SuiteResult]:
         bound = min(0.5, d * 0.5 ** (d - 1)) * eps
         diff = abs(dangling_combine(xhat) - dangling_combine(xs))
         worst_margin_f = max(worst_margin_f, diff - bound)
-        ok_f &= diff <= bound + FLOAT_SLACK
+        if diff > bound + FLOAT_SLACK:
+            ok_f = False
 
     worst_margin_g = -1.0
     ok_g = True
@@ -181,7 +197,8 @@ def sensitivity_bounds_suite(seed: int, trials: int) -> list[SuiteResult]:
         )
         bound = 3.0 * eps
         worst_margin_g = max(worst_margin_g, diff - bound)
-        ok_g &= diff <= bound + FLOAT_SLACK
+        if diff > bound + FLOAT_SLACK:
+            ok_g = False
 
     return [
         SuiteResult("dangling-combine-sensitivity", ok_f, f"trials={trials} worst_margin={worst_margin_f:.3e}"),

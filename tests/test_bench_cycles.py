@@ -82,6 +82,6 @@ def test_a_repeated_side_label_fails_before_any_run(tmp_path):
     proc = subprocess.run([sys.executable, *argv, "--out", str(out)], capture_output=True, text=True)
 
     assert proc.returncode == 2
-    assert proc.stderr.splitlines()[-1].endswith("error: repeated --side label x: each side needs its own")
+    assert proc.stderr.splitlines()[-1].endswith("error: repeated --side label")
     assert not marker.exists()
     assert not out.exists()
