@@ -7,11 +7,11 @@ complete graphs, for one or more source trees.
 
 Each ``--side LABEL=SRC`` names a source tree (a checkout's ``src``),
 recorded as its path and the sha256 of its ``*.py`` files; a label given
-twice is an error before anything runs.  Every instance (``cycle<n>``,
-``grid<r>x<c>`` or ``k<n>``) runs on every side in ``PROCESSES`` fresh
-interpreters per side with that ``src`` on PYTHONPATH, the sides taking
-turns within each instance (the first side leads in even rounds, the
-last in odd ones).  In each process one
+twice, or a run with no side or no instance, is an error before anything
+runs.  Every instance (``cycle<n>``, ``grid<r>x<c>`` or ``k<n>``) runs on
+every side in ``PROCESSES`` fresh interpreters per side with that ``src``
+on PYTHONPATH, the sides taking turns within each instance (the first
+side leads in even rounds, the last in odd ones).  In each process one
 untimed count with an ``on_node`` counter gives the recursion node
 total, then ``REPEATS`` timed counts give that process's best wall time.
 Each row is one process; ``ratios`` holds, per instance, the median over
@@ -161,6 +161,8 @@ def main() -> int:
     if args.child is not None:
         print(json.dumps(measure(args.child)))
         return 0
+    if not args.side or not args.instances:
+        p.error("a run needs at least one --side and one instance")
     if len(dict(args.side)) < len(args.side):
         p.error("repeated --side label")
 
@@ -184,7 +186,7 @@ def main() -> int:
         "machine": platform.machine(),
         "sides": sides,
         "rows": rows,
-        "ratios": median_ratios(rows, args.side[0][0]) if args.side else [],
+        "ratios": median_ratios(rows, args.side[0][0]),
     }
     text = json.dumps(record, indent=2) + "\n"
     if args.out is None:

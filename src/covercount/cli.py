@@ -10,6 +10,7 @@ int-to-string digit limit print in full.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -149,8 +150,14 @@ def _epsilon(value: str) -> float:
     return eps
 
 
+def _nonempty(values: list) -> list:
+    if not values:
+        raise argparse.ArgumentTypeError("must list at least one value")
+    return values
+
+
 def _epsilon_list(value: str) -> list[float]:
-    return [_epsilon(tok) for tok in value.split(",") if tok]
+    return _nonempty([_epsilon(tok) for tok in value.split(",") if tok])
 
 
 def _int_at_least(low: int):
@@ -164,9 +171,10 @@ def _int_at_least(low: int):
 
 
 def _int_list(value: str) -> list[int]:
-    return [int(tok) for tok in value.split(",") if tok]
+    return _nonempty([int(tok) for tok in value.split(",") if tok])
 
 
+@functools.cache  # built once: nothing mutates it, and each cmd_* looks up its callees when called
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="covercount",

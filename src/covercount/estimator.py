@@ -132,7 +132,7 @@ class _Workspace:
         self.ends = g._edges
         self.inc = g._adj
         self.edge_live = dict.fromkeys(g._edges, True)
-        self.vert_live = dict.fromkeys(g._vertices, True)
+        self.vert_live = dict.fromkeys(g._adj, True)
         self.truncated = False
 
     def live_ends(self, e: int) -> list[int]:

@@ -30,23 +30,22 @@ class GraphFormatError(ValueError):
 class Graph:
     """Immutable multigraph over nonnegative integer vertex and edge ids."""
 
-    __slots__ = ("_vertices", "_edges", "_adj")
+    __slots__ = ("_edges", "_adj")
 
     def __init__(
         self,
         vertices: Iterable[int],
         edges: Iterable[tuple[int, Sequence[int]]] = (),
     ):
-        vset = set()
+        adj: dict[int, list[int]] = {}
         for v in vertices:
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"vertex id must be a nonnegative integer, got {v!r}")
-            if v in vset:
+            if v in adj:
                 raise ValueError(f"duplicate vertex id {v}")
-            vset.add(v)
+            adj[v] = []
 
         emap: dict[int, tuple[int, ...]] = {}
-        adj: dict[int, list[int]] = {v: [] for v in vset}
         for eid, ends in edges:
             if not isinstance(eid, int) or eid < 0:
                 raise ValueError(f"edge id must be a nonnegative integer, got {eid!r}")
@@ -58,20 +57,18 @@ class Graph:
             if len(ends) == 2 and ends[0] == ends[1]:
                 raise ValueError(f"edge {eid} is a self-loop, which is rejected")
             for u in ends:
-                if u not in vset:
+                if u not in adj:
                     raise ValueError(f"edge {eid} references undeclared vertex {u}")
                 adj[u].append(eid)
             emap[eid] = ends
 
-        self._vertices = frozenset(vset)
         self._edges = emap
         self._adj = {v: tuple(sorted(ids)) for v, ids in adj.items()}
 
     @classmethod
-    def _raw(cls, vertices, edges, adj) -> "Graph":
+    def _raw(cls, edges, adj) -> "Graph":
         # Fast path for the removal operators: inputs already validated.
         g = object.__new__(cls)
-        g._vertices = vertices
         g._edges = edges
         g._adj = adj
         return g
@@ -96,7 +93,7 @@ class Graph:
 
     @property
     def vertices(self) -> frozenset[int]:
-        return self._vertices
+        return frozenset(self._adj)
 
     @property
     def edge_ids(self) -> tuple[int, ...]:
@@ -105,7 +102,7 @@ class Graph:
 
     @property
     def vertex_count(self) -> int:
-        return len(self._vertices)
+        return len(self._adj)
 
     @property
     def edge_count(self) -> int:
@@ -154,7 +151,7 @@ class Graph:
         adj = dict(self._adj)
         for u in ends:
             adj[u] = tuple(x for x in adj[u] if x != e)
-        return Graph._raw(self._vertices, edges, adj)
+        return Graph._raw(edges, adj)
 
     def detach_vertex(self, u: int) -> "Graph":
         """The graph with u removed and each incident edge keeping its id
@@ -164,19 +161,28 @@ class Graph:
         for e in incident:
             edges[e] = tuple(w for w in edges[e] if w != u)
         adj = {v: ids for v, ids in self._adj.items() if v != u}
-        return Graph._raw(self._vertices - {u}, edges, adj)
+        return Graph._raw(edges, adj)
 
     # -- dunder ----------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._vertices == other._vertices and self._edges == other._edges
+        return self._adj.keys() == other._adj.keys() and self._edges == other._edges
 
     __hash__ = None  # mutable-looking value semantics; not meant for dict keys
 
     def __repr__(self) -> str:
-        return f"Graph(vertices={sorted(self._vertices)}, edges={dict(sorted(self._edges.items()))})"
+        return f"Graph(vertices={sorted(self._adj)}, edges={dict(sorted(self._edges.items()))})"
+
+
+# item tag -> (integer arguments, how an arity error words them)
+_ITEMS = {
+    "v": (1, "one integer argument"),
+    "e": (3, "3 integer arguments"),
+    "d": (2, "2 integer arguments"),
+    "f": (1, "1 integer arguments"),
+}
 
 
 def parse_graph(text: str) -> Graph:
@@ -187,65 +193,44 @@ def parse_graph(text: str) -> Graph:
     a comment.  Declaration order is free; all vertex references are
     checked against the declared set.
     """
-    vertices: list[int] = []
-    vset: set[int] = set()
-    edges: list[tuple[int, tuple[int, ...]]] = []
-    eids: set[int] = set()
-    refs: list[tuple[int, int]] = []  # (vertex id, line number)
-
-    def intval(tok: str, lineno: int) -> int:
-        try:
-            n = int(tok)
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: expected an integer, got {tok!r}") from None
-        if n < 0:
-            raise GraphFormatError(f"line {lineno}: ids must be nonnegative, got {n}")
-        return n
-
-    def edge_line(lineno: int, parts: list[str], n_args: int) -> tuple[int, tuple[int, ...]]:
-        if len(parts) != n_args + 2:
-            raise GraphFormatError(
-                f"line {lineno}: '{parts[0]}' takes {n_args + 1} integer arguments"
-            )
-        eid = intval(parts[1], lineno)
-        if eid in eids:
-            raise GraphFormatError(f"line {lineno}: duplicate edge id {eid}")
-        eids.add(eid)
-        ends = tuple(intval(tok, lineno) for tok in parts[2:])
-        if len(ends) == 2 and ends[0] == ends[1]:
-            raise GraphFormatError(f"line {lineno}: self-loop at vertex {ends[0]} is rejected")
-        for u in ends:
-            refs.append((u, lineno))
-        return eid, ends
-
+    vertices: dict[int, int] = {}  # vertex id -> line number
+    edges: dict[int, tuple[list[int], int]] = {}  # edge id -> (endpoints, line number)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        tag = parts[0]
-        if tag == "v":
-            if len(parts) != 2:
-                raise GraphFormatError(f"line {lineno}: 'v' takes one integer argument")
-            vid = intval(parts[1], lineno)
-            if vid in vset:
-                raise GraphFormatError(f"line {lineno}: duplicate vertex id {vid}")
-            vset.add(vid)
-            vertices.append(vid)
-        elif tag == "e":
-            edges.append(edge_line(lineno, parts, 2))
-        elif tag == "d":
-            edges.append(edge_line(lineno, parts, 1))
-        elif tag == "f":
-            edges.append(edge_line(lineno, parts, 0))
-        else:
+        tag, *args = line.split()
+        if tag not in _ITEMS:
             raise GraphFormatError(f"line {lineno}: unknown item {tag!r}")
+        n_args, wording = _ITEMS[tag]
+        if len(args) != n_args:
+            raise GraphFormatError(f"line {lineno}: '{tag}' takes {wording}")
+        ids = []
+        for tok in args:
+            try:
+                ids.append(int(tok))
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: expected an integer, got {tok!r}") from None
+            if ids[-1] < 0:
+                raise GraphFormatError(f"line {lineno}: ids must be nonnegative, got {ids[-1]}")
+        item, *ends = ids
+        if tag == "v":
+            if item in vertices:
+                raise GraphFormatError(f"line {lineno}: duplicate vertex id {item}")
+            vertices[item] = lineno
+            continue
+        if item in edges:
+            raise GraphFormatError(f"line {lineno}: duplicate edge id {item}")
+        if len(ends) == 2 and ends[0] == ends[1]:
+            raise GraphFormatError(f"line {lineno}: self-loop at vertex {ends[0]} is rejected")
+        edges[item] = ends, lineno
 
-    for u, lineno in refs:
-        if u not in vset:
-            raise GraphFormatError(f"line {lineno}: undeclared vertex {u}")
+    for ends, lineno in edges.values():
+        for u in ends:
+            if u not in vertices:
+                raise GraphFormatError(f"line {lineno}: undeclared vertex {u}")
 
-    return Graph(vertices, edges)
+    return Graph(vertices, [(eid, ends) for eid, (ends, _) in edges.items()])
 
 
 def format_graph(g: Graph) -> str:
@@ -253,10 +238,5 @@ def format_graph(g: Graph) -> str:
     lines = [f"v {v}" for v in sorted(g.vertices)]
     for e in g.edge_ids:
         ends = g.endpoints(e)
-        if len(ends) == 2:
-            lines.append(f"e {e} {ends[0]} {ends[1]}")
-        elif len(ends) == 1:
-            lines.append(f"d {e} {ends[0]}")
-        else:
-            lines.append(f"f {e}")
+        lines.append(" ".join(["fde"[len(ends)], str(e), *map(str, ends)]))
     return "\n".join(lines) + "\n"

@@ -15,7 +15,6 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .counter import estimate_count
 
@@ -65,9 +64,9 @@ def marginal_suites(counted) -> list[SuiteResult]:
     depth 0..MAX_DEPTH is checked; ``depth_sweep`` reuses a settled
     depth's value for the deeper ones.
     """
-    worst = -1.0
+    worst = 0.0
     worst_bound = 0.0
-    worst_sharp = -1.0
+    worst_sharp = 0.0
     worst_sharp_bound = 0.0
     hi = 0.0
     lo = 0.0
@@ -78,12 +77,12 @@ def marginal_suites(counted) -> list[SuiteResult]:
         if z == 0:
             continue
         for e in g.edge_ids:
-            exact = Fraction(without[e], z)
+            exact = without[e] / z  # true division of ints is correctly rounded
             sharp = g.classify(e) is not EdgeKind.NORMAL
-            if exact < 0 or exact * 2 > 1:
+            if not 0 <= 2 * without[e] <= z:
                 ok_half = False
             for L, est in enumerate(depth_sweep(g, e, MAX_DEPTH)):
-                err = abs(est - float(exact))
+                err = abs(est - exact)
                 bound = 3.0 * 0.5 ** (L + 1)
                 if err > worst:
                     worst, worst_bound = err, bound
@@ -157,11 +156,13 @@ def identity_suite(counted) -> SuiteResult:
 
 
 def sensitivity_bounds_suite(seed: int, trials: int) -> list[SuiteResult]:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     # 0.5 * draw() is rng.uniform(0.0, 0.5) and randrange(9) is
     # randint(0, 8), draw for draw, without their Python-level frames
     rng = random.Random(seed)
     draw = rng.random
-    worst_margin_f = -1.0
+    worst_margin_f = -math.inf
     ok_f = True
     for _ in range(trials):
         d = rng.randrange(9)
@@ -174,7 +175,7 @@ def sensitivity_bounds_suite(seed: int, trials: int) -> list[SuiteResult]:
         if diff > bound + FLOAT_SLACK:
             ok_f = False
 
-    worst_margin_g = -1.0
+    worst_margin_g = -math.inf
     ok_g = True
     for _ in range(trials):
         d1 = rng.randrange(9)

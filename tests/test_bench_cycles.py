@@ -1,6 +1,6 @@
 """scripts/bench_cycles.py names each side by its source content, names every
 instance whose sides disagree, fails when a run fails, and refuses a side
-label given twice."""
+label given twice or a run that would measure nothing."""
 
 import json
 import subprocess
@@ -84,4 +84,20 @@ def test_a_repeated_side_label_fails_before_any_run(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.splitlines()[-1].endswith("error: repeated --side label")
     assert not marker.exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--instances", "cycle5"], ["--side", "x=src", "--instances", ","]],
+    ids=["no-side", "no-instance"],
+)
+def test_a_run_that_measures_nothing_fails_before_any_run(tmp_path, argv):
+    out = tmp_path / "record.json"
+    argv = [str(SCRIPTS / "bench_cycles.py"), *argv, "--out", str(out)]
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
+
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith("error: a run needs at least one --side and one instance")
     assert not out.exists()

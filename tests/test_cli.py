@@ -239,8 +239,9 @@ class TestVerify:
             (["--trials", "-5", "--instances", "-3"], "argument --trials: must be at least 1, got -5"),
             (["--trials", "0"], "argument --trials: must be at least 1, got 0"),
             (["--instances", "-3"], "argument --instances: must be at least 0, got -3"),
+            (["--epsilons", ","], "argument --epsilons: must list at least one value"),
         ],
-        ids=["trials-5-instances-3", "trials0", "instances-3"],
+        ids=["trials-5-instances-3", "trials0", "instances-3", "no-epsilons"],
     )
     def test_counts_below_their_floor_are_argparse_errors(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -254,6 +255,18 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--max-edges", "3", "--instances", "0", "--trials", "1")
         assert code == 0
         assert out.splitlines()[-1] == "PASS total suites=9 failed=0"
+
+    def test_a_suite_with_nothing_to_check_reports_zero_error(self, capsys):
+        # no corpus graph up to 2 edges has a dangling or free edge
+        code, out, _ = run_cli(capsys, "verify", "--max-edges", "2", "--instances", "0")
+        assert code == 0
+        assert out.splitlines()[1] == "PASS decay-bound-dangling-free worst_err=0.000e+00 bound_at_worst=0.000e+00"
+
+    def test_one_trial_reports_its_own_margin(self, capsys):
+        argv = ["verify", "--max-edges", "4", "--instances", "0", "--trials", "1", "--seed", "0"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[-2] == "PASS normal-combine-sensitivity trials=1 worst_margin=-1.126e+00"
 
 
 class TestBench:
@@ -279,6 +292,14 @@ class TestBench:
             return [row[:4] + row[5:] for row in rows]
 
         assert strip_wall(first) == strip_wall(second)
+
+    def test_no_sizes_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--family", "cycle", "--sizes", ",", "--epsilon", "0.5"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == "covercount bench: error: argument --sizes: must list at least one value"
 
 
 class TestErrorPaths:

@@ -205,3 +205,30 @@ class TestTextFormat:
     def test_error_reports_line_number(self):
         with pytest.raises(GraphFormatError, match="line 3"):
             parse_graph("v 0\nv 1\ne 0 0 2\n")
+
+    # one fault per file: the exact message and line each fault gives
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("v 0\nv 0\n", "line 2: duplicate vertex id 0"),
+            ("v 0\nd 0 0\nd 0 0\n", "line 3: duplicate edge id 0"),
+            ("v 3\ne 0 3 3\n", "line 2: self-loop at vertex 3 is rejected"),
+            ("f 0\ne 1 2 9\nv 2\n", "line 2: undeclared vertex 9"),
+            ("e 0 5 4\n", "line 1: undeclared vertex 5"),
+            ("v 0\n# c\n\nq 1\n", "line 4: unknown item 'q'"),
+            ("v 0\nd 0 -3\n", "line 2: ids must be nonnegative, got -3"),
+            ("v 0\ne 0 0 1.5\n", "line 2: expected an integer, got '1.5'"),
+            ("v 0 1\n", "line 1: 'v' takes one integer argument"),
+            ("v 0\ne 0 0\n", "line 2: 'e' takes 3 integer arguments"),
+            ("v 0\nd 1\n", "line 2: 'd' takes 2 integer arguments"),
+            ("f 0 1\n", "line 1: 'f' takes 1 integer arguments"),
+        ],
+        ids=[
+            "dup-vertex", "dup-edge", "self-loop", "undeclared", "undeclared-first-end", "unknown-item",
+            "negative", "non-integer", "arity-v", "arity-e", "arity-d", "arity-f",
+        ],
+    )
+    def test_single_fault_messages(self, text, message):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph(text)
+        assert str(exc.value) == message

@@ -1,6 +1,8 @@
 import inspect
 from collections import Counter
 
+import pytest
+
 from covercount import cli, oracle, verify
 from covercount.generate import cycle_graph
 from covercount.graph import Graph, format_graph
@@ -56,3 +58,9 @@ def test_the_verify_command_defaults_are_run_verifications():
     parsed = {name: getattr(ns, name) for name in params}
     parsed["epsilons"] = tuple(parsed["epsilons"])
     assert parsed == {name: p.default for name, p in params.items()}
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_sensitivity_suites_refuse_a_run_without_trials(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        verify.sensitivity_bounds_suite(0, trials)
