@@ -65,6 +65,8 @@ def measure(instance: str) -> dict:
     from covercount.counter import estimate_count
 
     g = build(instance)
+    # Nodes are counted through on_node, not ApproxCount.nodes, so that a
+    # side can be a source tree from before ApproxCount had that field.
     nodes = 0
 
     def bump(*_):

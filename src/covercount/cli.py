@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import sys
@@ -130,15 +131,8 @@ def cmd_bench(args) -> int:
         start = time.perf_counter()
         result = estimate_count(g, args.epsilon)
         wall_ms = (time.perf_counter() - start) * 1e3
-        nodes = 0
-
-        def bump(*_):
-            nonlocal nodes
-            nodes += 1
-
-        estimate_count(g, args.epsilon, on_node=bump)
         print(
-            f"{g.vertex_count},{g.edge_count},{result.depth_used},{nodes},{wall_ms:.3f},{result.value:.12g}"
+            f"{g.vertex_count},{g.edge_count},{result.depth_used},{result.nodes},{wall_ms:.3f},{result.value:.12g}"
         )
     return 0
 
@@ -213,12 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_from_cnf)
 
     p = sub.add_parser("verify", help="run the oracle-vs-estimator verification suites")
-    p.add_argument("--max-edges", type=int, default=12)
-    p.add_argument("--epsilons", type=_epsilon_list, default=[0.5, 0.2, 0.1])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=_int_at_least(0), default=120, help="random multigraphs per sweep")
-    p.add_argument("--trials", type=_int_at_least(1), default=20_000, help="sensitivity trials per combinator")
-    p.set_defaults(fn=cmd_verify)
+    p.add_argument("--max-edges", type=int)
+    p.add_argument("--epsilons", type=_epsilon_list)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--instances", type=_int_at_least(0), help="random multigraphs per sweep")
+    p.add_argument("--trials", type=_int_at_least(1), help="sensitivity trials per combinator")
+    defaults = inspect.signature(run_verification).parameters.items()
+    p.set_defaults(fn=cmd_verify, **{name: param.default for name, param in defaults})
 
     p = sub.add_parser("bench", help="CSV runtime/size sweep for one graph family")
     p.add_argument("--family", choices=["cycle", "star", "random"], required=True)

@@ -71,12 +71,13 @@ def elimination_chain(g: Graph) -> list[tuple[Graph, int]]:
 
 @dataclass(frozen=True)
 class ApproxCount:
-    """Approximate count with its natural log and the per-edge estimates."""
+    """Approximate count, its natural log, the per-edge estimates and the recursion node count."""
 
     value: float
     log_value: float
     depth_used: int
     marginals: tuple[tuple[int, float], ...]
+    nodes: int = 0
 
 
 def estimate_count(g: Graph, eps: float, on_node: Optional[TraceFn] = None) -> ApproxCount:
@@ -94,7 +95,7 @@ def estimate_count(g: Graph, eps: float, on_node: Optional[TraceFn] = None) -> A
         return ApproxCount(1.0, 0.0, 0, ())
 
     depth = depth_for(m, eps)
-    marginals = tuple(chain_marginals(g, depth, on_node))
+    marginals, nodes = chain_marginals(g, depth, on_node)
     ps = [p for _, p in marginals]
 
     # log-space sum is the robust record; the direct product (exact while it
@@ -107,4 +108,4 @@ def estimate_count(g: Graph, eps: float, on_node: Optional[TraceFn] = None) -> A
     # Past float range 1/prod is inf.  prod underflows to 0 only below
     # about 5e-324, a count far past float range, so that is inf too.
     value = 1.0 / prod if prod > 0.0 else math.inf
-    return ApproxCount(value, log_value, depth, marginals)
+    return ApproxCount(value, log_value, depth, tuple(marginals), nodes)

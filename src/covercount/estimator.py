@@ -35,7 +35,8 @@ reference (``tests/reference.py``), which this one matches bit for bit.
 
 ``chain_marginals(g, depth)`` runs the same recursion for every edge of
 the counter's elimination order on one shared workspace, conditioning
-each edge in place (clearing its flags for good) once it is estimated.
+each edge in place (clearing its flags for good) once it is estimated,
+and counts the nodes it visits: one per ``on_node`` call, hook or not.
 
 ``depth_sweep(g, e, max_depth)`` gives the estimates at every depth
 0..max_depth.  Error enters only at truncated leaves (``depth <= 0``),
@@ -119,14 +120,16 @@ class _Workspace:
     edge always reads back as (u, v) with u < v; a live vertex's live
     incident edges are the live entries of ``inc``, already in ascending id
     order.  The recursion clears the flags of each branch and sets them
-    again before it returns.  ``truncated`` is set whenever a truncated
-    leaf is reached, by the root dispatch for a root at depth <= 0 and by
-    the kernel for a node whose children are all truncated, and is never
-    cleared by the recursion.  Not part of the public persistent-value
-    contract.
+    again before it returns, except a node's own edge e: its endpoints
+    are dead below it, where only live vertices' edges are read, and its
+    sibling lists skip it by id.  ``truncated`` is set whenever a
+    truncated leaf is reached, by the root dispatch for a root at depth
+    <= 0 and by the kernel for a node whose children are all truncated,
+    and is never cleared by the recursion.  ``nodes`` counts the nodes
+    visited, one per ``on_node`` call a hook would see.
     """
 
-    __slots__ = ("ends", "inc", "edge_live", "vert_live", "truncated")
+    __slots__ = ("ends", "inc", "edge_live", "vert_live", "truncated", "nodes")
 
     def __init__(self, g: Graph):
         self.ends = g._edges
@@ -134,6 +137,7 @@ class _Workspace:
         self.edge_live = dict.fromkeys(g._edges, True)
         self.vert_live = dict.fromkeys(g._adj, True)
         self.truncated = False
+        self.nodes = 0
 
     def live_ends(self, e: int) -> list[int]:
         vert_live = self.vert_live
@@ -149,6 +153,7 @@ class _Workspace:
 def _recurse(ws: _Workspace, e: int, depth: int, on_node: Optional[TraceFn]) -> float:
     # Root dispatch: every case, once per marginal and once per child of a
     # normal root.  Every dangling node, root or not, runs in _dangling.
+    ws.nodes += 1
     ends = ws.live_ends(e)
     if depth <= 0:
         ws.truncated = True
@@ -170,7 +175,7 @@ def _recurse(ws: _Workspace, e: int, depth: int, on_node: Optional[TraceFn]) -> 
     u, v = ends
     at_u = [x for x in inc[u] if edge_live[x] and x != e]
     at_v = [x for x in inc[v] if edge_live[x] and x != e]
-    edge_live[e] = vert_live[u] = vert_live[v] = False
+    vert_live[u] = vert_live[v] = False
 
     x = 1.0
     for child in at_u:
@@ -192,7 +197,7 @@ def _recurse(ws: _Workspace, e: int, depth: int, on_node: Optional[TraceFn]) -> 
         edge_live[child] = False
     for child in at_v:
         edge_live[child] = True
-    edge_live[e] = vert_live[u] = vert_live[v] = True
+    vert_live[u] = vert_live[v] = True
     return normal_combine(x, y, z)
 
 
@@ -207,6 +212,7 @@ def _dangling(ws: _Workspace, e: int, u: int, depth: int, on_node: Optional[Trac
     vert_live = ws.vert_live
     others = [x for x in ws.inc[u] if edge_live[x] and x != e]
     k = len(others)
+    ws.nodes += k  # its caller counted e itself
     child_depth = depth - (_STEPS[k] if k < _TABLE_SIZE else _ceil_log6(k + 1))
     if child_depth <= 0:
         if k:
@@ -215,10 +221,10 @@ def _dangling(ws: _Workspace, e: int, u: int, depth: int, on_node: Optional[Trac
                 # every child's live ends include u, which its subinstance detaches
                 for child in others:
                     on_node(child_depth, child, _KINDS[len(ws.live_ends(child)) - 1], "base")
-        return _LEAVES[k] if k < _TABLE_SIZE else _all_truncated(k)
+        return _LEAVES[k] if k < _TABLE_SIZE else dangling_combine([0.5] * k)
 
     ends = ws.ends
-    edge_live[e] = vert_live[u] = False
+    vert_live[u] = False
     children = []
     for child in others:
         a, b = ends[child][0], ends[child][-1]  # u is one of them, and dead
@@ -233,20 +239,16 @@ def _dangling(ws: _Workspace, e: int, u: int, depth: int, on_node: Optional[Trac
         edge_live[child] = False
     for child in others:
         edge_live[child] = True
-    edge_live[e] = vert_live[u] = True
+    vert_live[u] = True
     return dangling_combine(children)
 
 
-def _all_truncated(k: int) -> float:
-    """A dangling node's value when all k of its children are truncated leaves."""
-    return dangling_combine([0.5] * k)
-
-
 # Per sibling count k < _TABLE_SIZE: the depth cost ceil(log6(k + 1)) and
-# the all-truncated value; larger k falls back to computing them.
+# the value of a dangling node whose k children are all truncated leaves;
+# larger k falls back to computing them.
 _TABLE_SIZE = 64
 _STEPS = [_ceil_log6(k + 1) for k in range(_TABLE_SIZE)]
-_LEAVES = [_all_truncated(k) for k in range(_TABLE_SIZE)]
+_LEAVES = [dangling_combine([0.5] * k) for k in range(_TABLE_SIZE)]
 
 
 _KINDS = {0: EdgeKind.FREE, 1: EdgeKind.DANGLING, 2: EdgeKind.NORMAL}
@@ -284,8 +286,10 @@ def depth_sweep(g: Graph, e: int, max_depth: int) -> list[float]:
     return out
 
 
-def chain_marginals(g: Graph, depth: int, on_node: Optional[TraceFn] = None) -> list[tuple[int, float]]:
-    """(edge, estimate) for every edge of g in ascending id order.
+def chain_marginals(
+    g: Graph, depth: int, on_node: Optional[TraceFn] = None
+) -> tuple[list[tuple[int, float]], int]:
+    """(edge, estimate) for every edge of g in ascending id order, and the node count.
 
     Each edge is estimated in the graph left after conditioning every
     earlier edge into the cover, so the result equals
@@ -299,4 +303,4 @@ def chain_marginals(g: Graph, depth: int, on_node: Optional[TraceFn] = None) -> 
     for e in g.edge_ids:
         out.append((e, _recurse(ws, e, depth, on_node)))
         ws.condition(e)
-    return out
+    return out, ws.nodes

@@ -69,7 +69,7 @@ def marginal_suites(counted) -> list[SuiteResult]:
     worst_sharp = 0.0
     worst_sharp_bound = 0.0
     hi = 0.0
-    lo = 0.0
+    lo = 0.5  # every checked edge's depth-0 estimate, so starting here clips no minimum
     ok = True
     ok_sharp = True
     ok_half = True

@@ -293,6 +293,27 @@ class TestBench:
 
         assert strip_wall(first) == strip_wall(second)
 
+    @pytest.mark.parametrize(
+        "family, sizes", [("cycle", [8, 64, 256]), ("random", [6, 10, 20])], ids=["cycle", "random"]
+    )
+    def test_one_count_per_size_whose_nodes_match_an_on_node_stream(self, capsys, monkeypatch, family, sizes):
+        calls = []
+        estimate_count = cli.estimate_count
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return estimate_count(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_count", counting)
+        argv = ["bench", "--family", family, "--sizes", ",".join(map(str, sizes)), "--epsilon", "0.5", "--seed", "4"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(calls) == len(sizes)
+        for line, size in zip(out.strip().splitlines()[1:], sizes):
+            stream = []
+            estimate_count(cli._bench_graph(family, size, 4), 0.5, on_node=lambda *a: stream.append(a))
+            assert int(line.split(",")[3]) == len(stream) > 0
+
     def test_no_sizes_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--family", "cycle", "--sizes", ",", "--epsilon", "0.5"])

@@ -205,7 +205,7 @@ class TestSharedWorkspace:
                     (e, estimate_marginal(h, e, depth, on_node=lambda *a: chain_nodes.append(a)))
                     for h, e in elimination_chain(g)
                 )
-                if result.marginals != chain or shared_nodes != chain_nodes:
+                if result.marginals != chain or shared_nodes != chain_nodes or result.nodes != len(shared_nodes):
                     mismatched.append((seed, eps))
         assert mismatched == []
 

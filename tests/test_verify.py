@@ -45,6 +45,19 @@ def test_a_graph_at_the_edge_cap_passes_the_identities(monkeypatch):
     assert all(r.passed for r in results), results
 
 
+def test_half_bound_reports_the_smallest_estimate_it_saw(monkeypatch):
+    # no 9-cycle estimate at depths 0..12 is 0, so a minimum that starts at 0 never moves
+    g = cycle_graph(9)
+    monkeypatch.setattr(verify, "verification_corpus", lambda *_: [g])
+    smallest = min(min(verify.depth_sweep(g, e, verify.MAX_DEPTH)) for e in g.edge_ids)
+
+    half = {r.name: r for r in verify.run_verification(trials=1)}["half-bound"]
+
+    assert smallest == 0.2647058823529411
+    assert half.passed
+    assert half.detail == f"max_estimate=0.5 min_estimate={smallest!r}"
+
+
 def test_a_corpus_past_the_default_oracle_cap_passes():
     results = verify.run_verification(max_edges=30, instances=40, trials=1)
 
