@@ -18,9 +18,10 @@ Each row is one process; ``ratios`` holds, per instance, the median over
 rounds of each side's best time over the first side's best in the same
 round.  The output records the machine's ``nproc`` and the Python
 version with the rows.  Each row also holds the count's ``value_hex``
-(``ApproxCount.value.hex()``); after writing the record the script
-exits nonzero if a run failed or two sides disagree on ``nodes`` or
-``value_hex`` for the same instance.
+(``ApproxCount.value.hex()``) and ``marginals_sha256``, the sha256 of
+every marginal's ``.hex()`` in chain order; after writing the record
+the script exits nonzero if a run failed or two sides disagree on
+``nodes``, ``value_hex`` or ``marginals_sha256`` for the same instance.
 """
 
 from __future__ import annotations
@@ -87,6 +88,7 @@ def measure(instance: str) -> dict:
         "depth": result.depth_used,
         "nodes": nodes,
         "value_hex": result.value.hex(),
+        "marginals_sha256": hashlib.sha256(" ".join(p.hex() for _, p in result.marginals).encode()).hexdigest(),
         "best_s": best,
         "walls_s": walls,
         "us_per_edge": best / g.edge_count * 1e6,
@@ -132,14 +134,16 @@ def median_ratios(rows: list[dict], base: str) -> list[dict]:
 
 
 def disagreements(rows: list[dict]) -> list[str]:
-    """One line per instance whose rows differ in ``nodes`` or ``value_hex``."""
+    """One line per instance whose rows differ in ``nodes``, ``value_hex`` or ``marginals_sha256``."""
     outcomes: dict[str, dict[tuple, set[str]]] = {}
     for row in rows:
         if "nodes" in row:
             by_outcome = outcomes.setdefault(row["instance"], {})
-            by_outcome.setdefault((row["nodes"], row["value_hex"]), set()).add(row["side"])
+            outcome = row["nodes"], row["value_hex"], row["marginals_sha256"]
+            by_outcome.setdefault(outcome, set()).add(row["side"])
     return [
-        f"{instance}: " + "; ".join(f"nodes={n} value={v} from {sorted(s)}" for (n, v), s in by_outcome.items())
+        f"{instance}: "
+        + "; ".join(f"nodes={n} value={v} marginals={h} from {sorted(s)}" for (n, v, h), s in by_outcome.items())
         for instance, by_outcome in outcomes.items()
         if len(by_outcome) > 1
     ]

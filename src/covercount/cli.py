@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_from_cnf)
 
     p = sub.add_parser("verify", help="run the oracle-vs-estimator verification suites")
-    p.add_argument("--max-edges", type=int)
+    p.add_argument("--max-edges", type=_int_at_least(1), help="largest corpus graph, in edges")
     p.add_argument("--epsilons", type=_epsilon_list)
     p.add_argument("--seed", type=int)
     p.add_argument("--instances", type=_int_at_least(0), help="random multigraphs per sweep")

@@ -23,15 +23,24 @@ answers its leaf children itself, with no call: a truncated child is
 1/2, so a node whose children are all truncated returns a value looked
 up by their number, and a free child is 1/2 too.  Only a dangling child
 with budget left costs a call.  ``on_node`` still sees every leaf, in
-visiting order, and traced and untraced runs take the same path.
+visiting order, and traced and untraced runs take the same path.  The
+kernel folds each child's value into a running product as it comes,
+with ``dangling_combine``'s range check and in its order, so a node's
+value is ``dangling_combine`` of its children's, bit for bit.
 
 The recursion never builds a subgraph.  It walks a live view of the
-input graph (``_Workspace``): the graph's own immutable endpoint and
-incidence maps plus one live flag per edge and per vertex.  A branch
-clears the flags of what it removes and sets them again before it
-returns, so the input is never written and there is no undo log.  The
-same recursion over persistent subgraphs is kept only as the tests'
-reference (``tests/reference.py``), which this one matches bit for bit.
+input graph (``_Workspace``), built once per call: edges and vertices
+renumbered 0..m-1 and 0..n-1 in ascending id order, with the endpoint
+and incidence tables and one live flag per edge and per vertex held in
+lists indexed by those numbers.  The renumbering keeps every order the
+recursion reads, so it visits the same tree as over the original ids.
+Ids are translated only at this module's boundary: the public functions
+map the caller's edge id in, return marginals under the original ids,
+and show ``on_node`` the original ids.  A branch clears the flags of
+what it removes and sets them again before it returns, so there is no
+undo log.  The same recursion over persistent subgraphs is kept only as
+the tests' reference (``tests/reference.py``), which this one matches
+bit for bit.
 
 ``chain_marginals(g, depth)`` runs the same recursion for every edge of
 the counter's elimination order on one shared workspace, conditioning
@@ -47,6 +56,7 @@ recursing there and repeats that value for the deeper depths.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Iterable, Optional
 
 from .graph import EdgeKind, Graph
@@ -110,41 +120,73 @@ def depth_discount(depth: int, d: int) -> int:
 
 
 class _Workspace:
-    """Live view of a graph for the recursion: the graph's own maps plus flags.
+    """Live view of a graph for the recursion, renumbered into lists.
 
-    ``ends`` (edge -> sorted endpoint tuple) and ``inc`` (vertex -> incident
-    edge tuple, ascending by id) are the input ``Graph``'s immutable maps,
-    shared and never written.  ``edge_live`` and ``vert_live`` say which
-    edges and vertices are still present.  An edge's live endpoints are its
-    static endpoints whose vertex is live, in ascending order, so a normal
-    edge always reads back as (u, v) with u < v; a live vertex's live
-    incident edges are the live entries of ``inc``, already in ascending id
-    order.  The recursion clears the flags of each branch and sets them
-    again before it returns, except a node's own edge e: its endpoints
-    are dead below it, where only live vertices' edges are read, and its
-    sibling lists skip it by id.  ``truncated`` is set whenever a
-    truncated leaf is reached, by the root dispatch for a root at depth
-    <= 0 and by the kernel for a node whose children are all truncated,
-    and is never cleared by the recursion.  ``nodes`` counts the nodes
-    visited, one per ``on_node`` call a hook would see.
+    Edges and vertices are renumbered 0..m-1 and 0..n-1 in ascending id
+    order, and every field is a list indexed by those numbers: ``ends``
+    (edge -> sorted endpoint tuple), ``inc`` (vertex -> incident edge
+    tuple, ascending), and the live flags ``edge_live`` and ``vert_live``.
+    The renumbering is monotone, so every order the recursion reads is
+    the input's: an edge's live endpoints are its static endpoints whose
+    vertex is live, in ascending order, so a normal edge always reads back
+    as (u, v) with u < v; a live vertex's live incident edges are the live
+    entries of ``inc``, already in ascending order.  ``ids`` maps a number
+    back to its edge id; the recursion sees numbers only, and the public
+    functions translate at its boundary.  The recursion clears the flags
+    of each branch and sets them again before it returns, except a node's
+    own edge e: its endpoints are dead below it, where only live vertices'
+    edges are read, and its sibling lists skip it by number.
+    ``truncated`` is set whenever a truncated leaf is reached, by the root
+    dispatch for a root at depth <= 0 and by the kernel for a node whose
+    children are all truncated, and is never cleared by the recursion.
+    ``nodes`` counts the nodes visited, one per ``on_node`` call a hook
+    would see.
     """
 
-    __slots__ = ("ends", "inc", "edge_live", "vert_live", "truncated", "nodes")
+    __slots__ = ("ids", "ends", "inc", "edge_live", "vert_live", "truncated", "nodes")
 
     def __init__(self, g: Graph):
-        self.ends = g._edges
-        self.inc = g._adj
-        self.edge_live = dict.fromkeys(g._edges, True)
-        self.vert_live = dict.fromkeys(g._adj, True)
+        emap = g._edges
+        adj = g._adj
+        self.ids = ids = sorted(emap)
+        verts = sorted(adj)
+        ends = list(map(emap.__getitem__, ids))
+        inc = list(map(adj.__getitem__, verts))
+        # distinct ids whose largest is k - 1 are 0..k-1 already: no translation
+        if verts and verts[-1] != len(verts) - 1:
+            vert_no = dict(zip(verts, range(len(verts)))).__getitem__
+            ends = [tuple(map(vert_no, pair)) for pair in ends]
+        if ids and ids[-1] != len(ids) - 1:
+            edge_no = dict(zip(ids, range(len(ids)))).__getitem__
+            inc = [tuple(map(edge_no, row)) for row in inc]
+        self.ends = ends
+        self.inc = inc
+        self.edge_live = [True] * len(ids)
+        self.vert_live = [True] * len(verts)
         self.truncated = False
         self.nodes = 0
+
+    def number(self, e: int) -> int:
+        """The number of edge id e, which must be an edge of the graph."""
+        return bisect_left(self.ids, e)
+
+    def hook(self, on_node: Optional[TraceFn]) -> Optional[TraceFn]:
+        """on_node as the recursion calls it: with edge numbers, shown as ids."""
+        if on_node is None:
+            return None
+        ids = self.ids
+
+        def numbered(depth, e, kind, branch):
+            on_node(depth, ids[e], kind, branch)
+
+        return numbered
 
     def live_ends(self, e: int) -> list[int]:
         vert_live = self.vert_live
         return [u for u in self.ends[e] if vert_live[u]]
 
     def condition(self, e: int) -> None:
-        """Put e into the cover for good: drop it and detach its endpoints."""
+        """Put edge number e into the cover for good: drop it and detach its endpoints."""
         self.edge_live[e] = False
         for u in self.ends[e]:
             self.vert_live[u] = False
@@ -225,22 +267,25 @@ def _dangling(ws: _Workspace, e: int, u: int, depth: int, on_node: Optional[Trac
 
     ends = ws.ends
     vert_live[u] = False
-    children = []
+    prod = 1.0  # dangling_combine's product, in the same order
     for child in others:
         a, b = ends[child][0], ends[child][-1]  # u is one of them, and dead
         if vert_live[a]:
-            children.append(_dangling(ws, child, a, child_depth, on_node))
+            x = _dangling(ws, child, a, child_depth, on_node)
         elif vert_live[b]:
-            children.append(_dangling(ws, child, b, child_depth, on_node))
+            x = _dangling(ws, child, b, child_depth, on_node)
         else:
             if on_node is not None:
                 on_node(child_depth, child, EdgeKind.FREE, "free")
-            children.append(0.5)
+            x = 0.5
+        if not 0.0 <= x <= 0.5:
+            raise ContractViolationError(f"marginal {x!r} outside [0, 1/2]")
+        prod *= x
         edge_live[child] = False
     for child in others:
         edge_live[child] = True
     vert_live[u] = True
-    return dangling_combine(children)
+    return (1.0 - prod) / (2.0 - prod)
 
 
 # Per sibling count k < _TABLE_SIZE: the depth cost ceil(log6(k + 1)) and
@@ -263,7 +308,8 @@ def estimate_marginal(g: Graph, e: int, depth: int, on_node: Optional[TraceFn] =
     """
     if not g.has_edge(e):
         raise KeyError(f"unknown edge id {e}")
-    return _recurse(_Workspace(g), e, depth, on_node)
+    ws = _Workspace(g)
+    return _recurse(ws, ws.number(e), depth, ws.hook(on_node))
 
 
 def depth_sweep(g: Graph, e: int, max_depth: int) -> list[float]:
@@ -276,6 +322,7 @@ def depth_sweep(g: Graph, e: int, max_depth: int) -> list[float]:
     if not g.has_edge(e):
         raise KeyError(f"unknown edge id {e}")
     ws = _Workspace(g)
+    e = ws.number(e)
     out = []
     for depth in range(max_depth + 1):
         ws.truncated = False
@@ -299,8 +346,9 @@ def chain_marginals(
     place, which keeps the whole chain O(n + m) outside the recursion.
     """
     ws = _Workspace(g)
+    hook = ws.hook(on_node)
     out = []
-    for e in g.edge_ids:
-        out.append((e, _recurse(ws, e, depth, on_node)))
-        ws.condition(e)
+    for i, e in enumerate(ws.ids):
+        out.append((e, _recurse(ws, i, depth, hook)))
+        ws.condition(i)
     return out, ws.nodes

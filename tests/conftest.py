@@ -97,3 +97,26 @@ def fibonacci(n: int) -> int:
     for _ in range(n):
         a, b = b, a + b
     return a
+
+
+def scattered_id_graph() -> Graph:
+    """A multigraph whose ids are far from 0..m-1 and 0..n-1.
+
+    Edge ids reach 10**12 and past 2**40, vertex ids 10**15; it has a
+    parallel pair, two dangling edges and a free edge, and no id order
+    agrees with the order the edges are listed in.
+    """
+    a, b, c, d, e = 5, 10**15, 123_456_789, 10**15 + 1, 2
+    edges = [
+        (10**12, (a, b)),
+        (7, (b, a)),  # parallel to 10**12
+        (10**12 + 1, (b, c)),
+        (3, (c, d)),
+        (500, (d, a)),
+        (10**13, (b,)),
+        (2**41, ()),
+        (11, (c, e)),
+        (12, (e,)),
+        (10**12 + 7, (d, b)),
+    ]
+    return Graph([a, b, c, d, e], edges)

@@ -2,6 +2,7 @@
 instance whose sides disagree, fails when a run fails, and refuses a side
 label given twice or a run that would measure nothing."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -46,17 +47,29 @@ def test_compiled_files_leave_the_digest_alone(bench, tmp_path):
 
 
 def test_disagreements_name_instances_whose_nodes_or_values_differ(bench):
-    def row(side, instance, nodes, value_hex):
-        return {"side": side, "instance": instance, "nodes": nodes, "value_hex": value_hex}
+    def row(side, instance, nodes, value_hex, marginals="aa"):
+        return {"side": side, "instance": instance, "nodes": nodes, "value_hex": value_hex, "marginals_sha256": marginals}
 
     rows = [row(side, "k8", 23415, "0x1.8p+4") for side in ("parent", "change") for _ in range(2)]
     rows += [row("parent", "grid6x6", 10, "0x1.0p+0"), row("change", "grid6x6", 11, "0x1.0p+0")]
     rows += [row("parent", "cycle9", 10, "0x1.0p+0"), row("change", "cycle9", 10, "0x1.8p+0")]
+    # equal nodes and count, different marginals: a rounded product can hide a changed factor
+    rows += [row("parent", "cycle12", 10, "0x1.0p+0", "aa"), row("change", "cycle12", 10, "0x1.0p+0", "bb")]
     rows.append({"side": "change", "instance": "k8", "error": "MemoryError"})
     assert bench.disagreements(rows) == [
-        "grid6x6: nodes=10 value=0x1.0p+0 from ['parent']; nodes=11 value=0x1.0p+0 from ['change']",
-        "cycle9: nodes=10 value=0x1.0p+0 from ['parent']; nodes=10 value=0x1.8p+0 from ['change']",
+        "grid6x6: nodes=10 value=0x1.0p+0 marginals=aa from ['parent']; nodes=11 value=0x1.0p+0 marginals=aa from ['change']",
+        "cycle9: nodes=10 value=0x1.0p+0 marginals=aa from ['parent']; nodes=10 value=0x1.8p+0 marginals=aa from ['change']",
+        "cycle12: nodes=10 value=0x1.0p+0 marginals=aa from ['parent']; nodes=10 value=0x1.0p+0 marginals=bb from ['change']",
     ]
+
+
+def test_a_row_records_the_digest_of_its_marginals_in_chain_order(bench, monkeypatch):
+    from covercount.counter import estimate_count
+
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    row = bench.measure("cycle7")
+    text = " ".join(p.hex() for _, p in estimate_count(bench.build("cycle7"), bench.EPSILON).marginals)
+    assert row["marginals_sha256"] == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_failed_runs_make_the_exit_nonzero_after_the_record(tmp_path):

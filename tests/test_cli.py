@@ -6,11 +6,12 @@ from decimal import Decimal
 
 import pytest
 
-from conftest import lucas, wide_frontier_graph
+from conftest import lucas, scattered_id_graph, wide_frontier_graph
 from covercount import cli
 from covercount.cli import main
 from covercount.generate import cycle_graph, path_graph
 from covercount.graph import format_graph
+from reference import reference_marginal
 
 C4_TEXT = "v 0\nv 1\nv 2\nv 3\ne 0 0 1\ne 1 1 2\ne 2 2 3\ne 3 3 0\n"
 CNF_TEXT = "p cnf 3 2\n1 2 0\n2 3 0\n"
@@ -23,8 +24,8 @@ SMALL_VERIFY_REPORT = (
     "PASS fptas-eps=0.2 worst_rel_err=2.220e-16 allowed=0.2\n"
     "PASS fptas-eps=0.1 worst_rel_err=2.220e-16 allowed=0.1\n"
     "PASS exact-identities checked=364 violations=0\n"
-    "PASS dangling-combine-sensitivity trials=500 worst_margin=0.000e+00\n"
-    "PASS normal-combine-sensitivity trials=500 worst_margin=0.000e+00\n"
+    "PASS dangling-combine-sensitivity trials=500 worst_margin=-4.937e-04\n"
+    "PASS normal-combine-sensitivity trials=500 worst_margin=-6.840e-02\n"
     "PASS total suites=9 failed=0\n"
 )
 
@@ -178,6 +179,20 @@ class TestMarginal:
             assert fields["kind"] in {"N", "D", "F"}
             assert fields["branch"] in {"base", "free", "dangling", "normal"}
 
+    def test_trace_names_the_files_own_ids(self, capsys, tmp_path):
+        g = scattered_id_graph()
+        path = tmp_path / "scattered.graph"
+        path.write_text(format_graph(g))
+        e = 10**12
+        code, out, err = run_cli(capsys, "marginal", str(path), "--edge", str(e), "--depth", "4", "--trace")
+        assert code == 0
+        want = []
+        assert json.loads(out)["estimate"] == reference_marginal(g, e, 4, on_node=lambda *a: want.append(a))
+        lines = [f"depth={d} edge={x} kind={cli._KIND_CHAR[k]} branch={b}" for d, x, k, b in want]
+        assert err.splitlines() == lines
+        assert lines[0] == f"depth=4 edge={e} kind=N branch=normal"
+        assert {f"edge={x}" for x in (10**12 + 1, 10**13, 10**12 + 7)} <= {line.split()[1] for line in lines}
+
     def test_unknown_edge_fails(self, capsys, c4_file):
         code, out, err = run_cli(capsys, "marginal", c4_file, "--edge", "9")
         assert code == 1
@@ -240,8 +255,9 @@ class TestVerify:
             (["--trials", "0"], "argument --trials: must be at least 1, got 0"),
             (["--instances", "-3"], "argument --instances: must be at least 0, got -3"),
             (["--epsilons", ","], "argument --epsilons: must list at least one value"),
+            (["--max-edges", "0", "--instances", "0", "--trials", "1"], "argument --max-edges: must be at least 1, got 0"),
         ],
-        ids=["trials-5-instances-3", "trials0", "instances-3", "no-epsilons"],
+        ids=["trials-5-instances-3", "trials0", "instances-3", "no-epsilons", "max-edges0"],
     )
     def test_counts_below_their_floor_are_argparse_errors(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

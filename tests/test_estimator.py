@@ -1,13 +1,15 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_small_graph, seeded_multigraphs
+from conftest import random_small_graph, scattered_id_graph, seeded_multigraphs
 from covercount import estimator
+from covercount.counter import elimination_chain, estimate_count
 from covercount.estimator import (
     ContractViolationError,
     dangling_combine,
@@ -294,6 +296,48 @@ class TestDepthSweep:
             assert 0 < swept < nodes
 
 
+class TestScatteredIds:
+    """Ids far from 0..m-1 are renumbered inside the workspace and nowhere else."""
+
+    @pytest.mark.parametrize("eps", [0.5, 0.2, 0.1])
+    def test_count_matches_the_reference_chain(self, eps):
+        g = scattered_id_graph()
+        got = []
+        result = estimate_count(g, eps, on_node=lambda *a: got.append(a))
+        want = []
+        chain = [
+            (e, reference_marginal(h, e, result.depth_used, on_node=lambda *a: want.append(a)).hex())
+            for h, e in elimination_chain(g)
+        ]
+        assert [(e, p.hex()) for e, p in result.marginals] == chain
+        assert got == want
+        assert result.nodes == len(got)
+
+    def test_marginals_and_sweeps_match_the_reference(self):
+        g = scattered_id_graph()
+        for e in g.edge_ids:
+            sweep = depth_sweep(g, e, 6)
+            for depth in range(7):
+                got, want = [], []
+                value = estimate_marginal(g, e, depth, on_node=lambda *a: got.append(a))
+                expected = reference_marginal(g, e, depth, on_node=lambda *a: want.append(a))
+                assert value.hex() == expected.hex() == sweep[depth].hex()
+                assert got == want
+
+    def test_workspace_memory_grows_with_edges_not_id_values(self):
+        g = scattered_id_graph()
+        tracemalloc.start()
+        try:
+            ws = estimator._Workspace(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ws.ends) == len(ws.edge_live) == g.edge_count
+        assert len(ws.inc) == len(ws.vert_live) == g.vertex_count
+        assert ws.ids == list(g.edge_ids)
+        assert peak < 16_384
+
+
 class TestDanglingKernel:
     """The kernel's per-sibling-count tables against the definitions they cache."""
 
@@ -327,6 +371,15 @@ class TestDanglingKernel:
             value = estimator._dangling(ws, 0, 0, 1, None)
             assert value.hex() == dangling_combine([0.5] * k).hex()
             assert ws.truncated == (k > 0)
+
+    def test_a_child_outside_the_half_interval_breaks_the_contract(self, monkeypatch):
+        # edge 0 dangles at vertex 0; its one child, edge 1, dangles at vertex 1
+        # above edge 2, whose truncated leaf makes edge 1's value _LEAVES[1]
+        g = Graph.from_edges([(0,), (0, 1), (1, 2)])
+        for bad in (0.75, -0.25, math.nan):
+            monkeypatch.setattr(estimator, "_LEAVES", [bad] * estimator._TABLE_SIZE)
+            with pytest.raises(ContractViolationError, match=r"marginal .* outside \[0, 1/2\]"):
+                estimator._dangling(estimator._Workspace(g), 0, 0, 2, None)
 
 
 class TestDecayBounds:

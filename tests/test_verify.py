@@ -1,4 +1,5 @@
 import inspect
+import math
 from collections import Counter
 
 import pytest
@@ -77,3 +78,26 @@ def test_the_verify_command_defaults_are_run_verifications():
 def test_sensitivity_suites_refuse_a_run_without_trials(trials):
     with pytest.raises(ValueError, match="trials must be at least 1"):
         verify.sensitivity_bounds_suite(0, trials)
+
+
+@pytest.mark.parametrize("max_edges", [0, -3])
+def test_verification_refuses_a_corpus_without_edges(max_edges):
+    with pytest.raises(ValueError, match="max_edges must be at least 1"):
+        verify.run_verification(max_edges=max_edges, instances=0, trials=1)
+
+
+@pytest.mark.parametrize("seed", [1, 404, 12345])
+def test_sensitivity_margins_skip_trials_without_a_bound(seed):
+    # about one trial in nine has empty inputs, whose difference and bound are both 0
+    results = verify.sensitivity_bounds_suite(seed, 200)
+    assert all(r.passed for r in results), results
+    for r in results:
+        margin = float(r.detail.rsplit("=", 1)[1])
+        assert -math.inf < margin < 0.0, r.detail
+
+
+def test_sensitivity_margin_without_a_bounded_trial_is_minus_infinity():
+    # seed 2's one dangling trial draws d = 0
+    dangling, normal = verify.sensitivity_bounds_suite(2, 1)
+    assert dangling.passed and dangling.detail == "trials=1 worst_margin=-inf"
+    assert normal.passed and normal.detail == "trials=1 worst_margin=-2.638e-01"
