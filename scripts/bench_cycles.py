@@ -11,16 +11,16 @@ twice, or a run with no side or no instance, is an error before anything
 runs.  Every instance (``cycle<n>``, ``grid<r>x<c>`` or ``k<n>``) runs on
 every side in ``PROCESSES`` fresh interpreters per side with that ``src``
 on PYTHONPATH, the sides taking turns within each instance (the first
-side leads in even rounds, the last in odd ones).  In each process one
-untimed count with an ``on_node`` counter gives the recursion node
-total, then ``REPEATS`` timed counts give that process's best wall time.
-Each row is one process; ``ratios`` holds, per instance, the median over
-rounds of each side's best time over the first side's best in the same
-round.  The output records the machine's ``nproc`` and the Python
-version with the rows.  Each row also holds the count's ``value_hex``
-(``ApproxCount.value.hex()``) and ``marginals_sha256``, the sha256 of
-every marginal's ``.hex()`` in chain order; after writing the record
-the script exits nonzero if a run failed or two sides disagree on
+side leads in even rounds, the last in odd ones).  Each process runs
+``REPEATS`` timed counts, none traced, and is one row: its best wall
+time, and from those bit-identical counts the ``depth``, the ``nodes``
+(``ApproxCount.nodes``; a tree without that field gives an error row),
+the ``value_hex`` (``ApproxCount.value.hex()``) and ``marginals_sha256``,
+the sha256 of every marginal's ``.hex()`` in chain order.  ``ratios``
+holds, per instance, the median over rounds of each side's best time
+over the first side's best in the same round.  The output records the
+machine's ``nproc`` and the Python version with the rows; after writing
+it the script exits nonzero if a run failed or two sides disagree on
 ``nodes``, ``value_hex`` or ``marginals_sha256`` for the same instance.
 """
 
@@ -66,19 +66,10 @@ def measure(instance: str) -> dict:
     from covercount.counter import estimate_count
 
     g = build(instance)
-    # Nodes are counted through on_node, not ApproxCount.nodes, so that a
-    # side can be a source tree from before ApproxCount had that field.
-    nodes = 0
-
-    def bump(*_):
-        nonlocal nodes
-        nodes += 1
-
-    result = estimate_count(g, EPSILON, on_node=bump)
     walls = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        estimate_count(g, EPSILON)
+        result = estimate_count(g, EPSILON)
         walls.append(time.perf_counter() - start)
     best = min(walls)
     return {
@@ -86,13 +77,13 @@ def measure(instance: str) -> dict:
         "n": g.vertex_count,
         "m": g.edge_count,
         "depth": result.depth_used,
-        "nodes": nodes,
+        "nodes": result.nodes,
         "value_hex": result.value.hex(),
         "marginals_sha256": hashlib.sha256(" ".join(p.hex() for _, p in result.marginals).encode()).hexdigest(),
         "best_s": best,
         "walls_s": walls,
         "us_per_edge": best / g.edge_count * 1e6,
-        "ns_per_node": best / nodes * 1e9,
+        "ns_per_node": best / result.nodes * 1e9,
     }
 
 

@@ -85,7 +85,6 @@ def parse_cnf(text: str) -> RtwMonCnf:
                     raise CnfFormatError(f"line {lineno}: unsatisfiable clause (empty)")
                 clauses.append(frozenset(pending))
                 pending = []
-                pending_line = None
             else:
                 pending.append(lit)
                 pending_line = lineno

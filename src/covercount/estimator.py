@@ -59,7 +59,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Callable, Iterable, Optional
 
-from .graph import EdgeKind, Graph
+from .graph import KINDS, EdgeKind, Graph
 
 # on_node callback: (depth, edge id, kind, branch) per computation-tree node.
 TraceFn = Callable[[int, int, EdgeKind, str], None]
@@ -200,7 +200,7 @@ def _recurse(ws: _Workspace, e: int, depth: int, on_node: Optional[TraceFn]) -> 
     if depth <= 0:
         ws.truncated = True
         if on_node is not None:
-            on_node(depth, e, _KINDS[len(ends)], "base")
+            on_node(depth, e, KINDS[len(ends)], "base")
         return 0.5
     if not ends:
         if on_node is not None:
@@ -257,12 +257,12 @@ def _dangling(ws: _Workspace, e: int, u: int, depth: int, on_node: Optional[Trac
     ws.nodes += k  # its caller counted e itself
     child_depth = depth - (_STEPS[k] if k < _TABLE_SIZE else _ceil_log6(k + 1))
     if child_depth <= 0:
-        if k:
-            ws.truncated = True
-            if on_node is not None:
-                # every child's live ends include u, which its subinstance detaches
-                for child in others:
-                    on_node(child_depth, child, _KINDS[len(ws.live_ends(child)) - 1], "base")
+        # k >= 1 here, since depth > 0 and _STEPS[0] == 0
+        ws.truncated = True
+        if on_node is not None:
+            # every child's live ends include u, which its subinstance detaches
+            for child in others:
+                on_node(child_depth, child, KINDS[len(ws.live_ends(child)) - 1], "base")
         return _LEAVES[k] if k < _TABLE_SIZE else dangling_combine([0.5] * k)
 
     ends = ws.ends
@@ -294,9 +294,6 @@ def _dangling(ws: _Workspace, e: int, u: int, depth: int, on_node: Optional[Trac
 _TABLE_SIZE = 64
 _STEPS = [_ceil_log6(k + 1) for k in range(_TABLE_SIZE)]
 _LEAVES = [dangling_combine([0.5] * k) for k in range(_TABLE_SIZE)]
-
-
-_KINDS = {0: EdgeKind.FREE, 1: EdgeKind.DANGLING, 2: EdgeKind.NORMAL}
 
 
 def estimate_marginal(g: Graph, e: int, depth: int, on_node: Optional[TraceFn] = None) -> float:

@@ -23,6 +23,10 @@ class EdgeKind(enum.Enum):
     FREE = "free"
 
 
+# An edge's kind, indexed by its number of endpoints.
+KINDS = (EdgeKind.FREE, EdgeKind.DANGLING, EdgeKind.NORMAL)
+
+
 class GraphFormatError(ValueError):
     """Malformed text in the graph file format."""
 
@@ -118,12 +122,7 @@ class Graph:
             raise KeyError(f"unknown edge id {e}") from None
 
     def classify(self, e: int) -> EdgeKind:
-        n = len(self.endpoints(e))
-        if n == 2:
-            return EdgeKind.NORMAL
-        if n == 1:
-            return EdgeKind.DANGLING
-        return EdgeKind.FREE
+        return KINDS[len(self.endpoints(e))]
 
     def incident_edges(self, u: int) -> tuple[int, ...]:
         """Edges with u as an endpoint, ascending by edge id.

@@ -1,6 +1,7 @@
-"""scripts/bench_cycles.py names each side by its source content, names every
-instance whose sides disagree, fails when a run fails, and refuses a side
-label given twice or a run that would measure nothing."""
+"""scripts/bench_cycles.py names each side by its source content, counts each
+graph only in the counts it times, names every instance whose sides disagree,
+fails when a run fails, and refuses a side label given twice or a run that
+would measure nothing."""
 
 import hashlib
 import json
@@ -70,6 +71,60 @@ def test_a_row_records_the_digest_of_its_marginals_in_chain_order(bench, monkeyp
     row = bench.measure("cycle7")
     text = " ".join(p.hex() for _, p in estimate_count(bench.build("cycle7"), bench.EPSILON).marginals)
     assert row["marginals_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_a_child_runs_only_its_timed_counts_and_traces_none(bench, monkeypatch):
+    import covercount.counter
+
+    real = covercount.counter.estimate_count
+    hooks = []
+
+    def counted(g, eps, on_node=None):
+        hooks.append(on_node)
+        return real(g, eps, on_node)
+
+    monkeypatch.setattr(covercount.counter, "estimate_count", counted)
+    bench.measure("cycle7")
+    assert hooks == [None] * bench.REPEATS
+
+
+@pytest.mark.parametrize("instance", ["cycle7", "k5"])
+def test_a_rows_nodes_are_the_counts_own_and_the_node_streams_length(bench, monkeypatch, instance):
+    from covercount.counter import estimate_count
+
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    row = bench.measure(instance)
+    stream = []
+    result = estimate_count(bench.build(instance), bench.EPSILON, on_node=lambda *node: stream.append(node))
+    assert row["nodes"] == result.nodes == len(stream) > 0
+
+
+def test_a_side_whose_count_has_no_nodes_gives_error_rows_and_exit_1(tmp_path):
+    # a tree whose ApproxCount predates the recursion counting its own nodes
+    old = make_tree(tmp_path / "old")
+    (old / "covercount" / "graph.py").write_text("Graph = None\n")
+    (old / "covercount" / "generate.py").write_text(
+        "from types import SimpleNamespace\n\n"
+        "def cycle_graph(n):\n"
+        "    return SimpleNamespace(vertex_count=n, edge_count=n)\n"
+    )
+    (old / "covercount" / "counter.py").write_text(
+        "from typing import NamedTuple\n\n"
+        "class ApproxCount(NamedTuple):\n"
+        "    value: float\n"
+        "    log_value: float\n"
+        "    depth_used: int\n"
+        "    marginals: tuple\n\n"
+        "def estimate_count(g, eps, on_node=None):\n"
+        "    return ApproxCount(1.0, 0.0, 1, ())\n"
+    )
+    out = tmp_path / "record.json"
+    argv = [str(SCRIPTS / "bench_cycles.py"), "--side", f"old={old}", "--instances", "cycle5", "--out", str(out)]
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
+
+    assert proc.returncode == 1, proc.stderr
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["error"] for row in rows] == ["AttributeError: 'ApproxCount' object has no attribute 'nodes'"] * 5
 
 
 def test_failed_runs_make_the_exit_nonzero_after_the_record(tmp_path):
