@@ -5,7 +5,7 @@ and a read-twice monotone CNF frontend.  Standard library only."""
 
 from .cnf import CnfFormatError, RtwMonCnf, count_solutions, parse_cnf, render_cnf, to_graph
 from .counter import ApproxCount, depth_for, estimate_count
-from .estimator import ContractViolationError, dangling_combine, depth_discount, estimate_marginal, normal_combine
+from .estimator import ContractViolationError, dangling_combine, estimate_marginal, normal_combine
 from .graph import EdgeKind, Graph, GraphFormatError, format_graph, parse_graph
 from .oracle import DEFAULT_FRONTIER_CAP, NoEdgeCoverError, OracleSizeError, exact_count, exact_marginal
 
@@ -24,7 +24,6 @@ __all__ = [
     "RtwMonCnf",
     "count_solutions",
     "dangling_combine",
-    "depth_discount",
     "depth_for",
     "estimate_count",
     "estimate_marginal",

@@ -98,10 +98,10 @@ def estimate_count(g: Graph, eps: float, on_node: Optional[TraceFn] = None) -> A
     marginals, nodes = chain_marginals(g, depth, on_node)
     ps = [p for _, p in marginals]
 
-    # log-space sum is the robust record; the direct product (exact while it
-    # stays normal, every factor being >= 1/2) preserves identities such as
-    # free-edge doubling bit-for-bit.
-    log_value = -math.fsum(math.log1p(-p) for p in ps)
+    # log-space sum is the robust record (`0.0 -`, not unary minus, so a count
+    # of 1 logs 0.0, not -0.0); the direct product (exact while it stays normal,
+    # every factor being >= 1/2) preserves identities such as free-edge doubling bit-for-bit.
+    log_value = 0.0 - math.fsum(math.log1p(-p) for p in ps)
     prod = 1.0
     for p in ps:
         prod *= 1.0 - p

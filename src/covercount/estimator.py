@@ -109,16 +109,6 @@ def _ceil_log6(k: int) -> int:
     return t
 
 
-def depth_discount(depth: int, d: int) -> int:
-    """Remaining budget after branching over d sibling edges.
-
-    Crossing a degree-(d+1) vertex costs ceil(log6(d+1)) units, which is
-    what makes the budget polynomial without a degree bound.  May go at or
-    below zero; the base case absorbs that.
-    """
-    return depth - _ceil_log6(d + 1)
-
-
 class _Workspace:
     """Live view of a graph for the recursion, renumbered into lists.
 
@@ -148,10 +138,10 @@ class _Workspace:
     def __init__(self, g: Graph):
         emap = g._edges
         adj = g._adj
-        self.ids = ids = sorted(emap)
-        verts = sorted(adj)
-        ends = list(map(emap.__getitem__, ids))
-        inc = list(map(adj.__getitem__, verts))
+        self.ids = ids = list(emap)
+        verts = list(adj)
+        ends = list(emap.values())
+        inc = list(adj.values())
         # distinct ids whose largest is k - 1 are 0..k-1 already: no translation
         if verts and verts[-1] != len(verts) - 1:
             vert_no = dict(zip(verts, range(len(verts)))).__getitem__
@@ -288,9 +278,10 @@ def _dangling(ws: _Workspace, e: int, u: int, depth: int, on_node: Optional[Trac
     return (1.0 - prod) / (2.0 - prod)
 
 
-# Per sibling count k < _TABLE_SIZE: the depth cost ceil(log6(k + 1)) and
-# the value of a dangling node whose k children are all truncated leaves;
-# larger k falls back to computing them.
+# Crossing a degree-(k + 1) vertex costs ceil(log6(k + 1)) units of depth,
+# which makes the budget polynomial without a degree bound.  Per sibling
+# count k < _TABLE_SIZE: that cost and the value of a dangling node whose k
+# children are all truncated leaves; larger k falls back to computing them.
 _TABLE_SIZE = 64
 _STEPS = [_ceil_log6(k + 1) for k in range(_TABLE_SIZE)]
 _LEAVES = [dangling_combine([0.5] * k) for k in range(_TABLE_SIZE)]

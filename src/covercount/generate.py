@@ -25,12 +25,6 @@ def cycle_graph(n: int) -> Graph:
     return Graph.from_edges([(i, (i + 1) % n) for i in range(n)])
 
 
-def path_graph(n: int) -> Graph:
-    if n < 2:
-        raise ValueError(f"path needs at least 2 vertices, got {n}")
-    return Graph.from_edges([(i, i + 1) for i in range(n - 1)])
-
-
 def star_graph(n: int) -> Graph:
     """Star on n vertices: center 0 joined to n-1 leaves."""
     if n < 2:

@@ -66,8 +66,9 @@ class Graph:
                 adj[u].append(eid)
             emap[eid] = ends
 
-        self._edges = emap
-        self._adj = {v: tuple(sorted(ids)) for v, ids in adj.items()}
+        # both held in ascending id order, which the removal operators keep
+        self._edges = {e: emap[e] for e in sorted(emap)}
+        self._adj = {v: tuple(sorted(adj[v])) for v in sorted(adj)}
 
     @classmethod
     def _raw(cls, edges, adj) -> "Graph":
@@ -102,7 +103,7 @@ class Graph:
     @property
     def edge_ids(self) -> tuple[int, ...]:
         """All edge ids in ascending order (the deterministic recursion order)."""
-        return tuple(sorted(self._edges))
+        return tuple(self._edges)
 
     @property
     def vertex_count(self) -> int:
@@ -133,9 +134,6 @@ class Graph:
             return self._adj[u]
         except KeyError:
             raise KeyError(f"unknown vertex id {u}") from None
-
-    def degree(self, u: int) -> int:
-        return len(self.incident_edges(u))
 
     def has_isolated_vertex(self) -> bool:
         return any(not ids for ids in self._adj.values())
@@ -172,7 +170,7 @@ class Graph:
     __hash__ = None  # mutable-looking value semantics; not meant for dict keys
 
     def __repr__(self) -> str:
-        return f"Graph(vertices={sorted(self._adj)}, edges={dict(sorted(self._edges.items()))})"
+        return f"Graph(vertices={list(self._adj)}, edges={self._edges})"
 
 
 # item tag -> (integer arguments, how an arity error words them)

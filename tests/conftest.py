@@ -45,6 +45,11 @@ def seeded_multigraphs(count: int, max_edges: int = 14, seed: int = RANDOM_CORPU
     return [random_multigraph(seed + i, max_edges=max_edges) for i in range(count)]
 
 
+def path_graph(n: int) -> Graph:
+    """The path on vertices 0..n-1, edge i joining i and i + 1."""
+    return Graph.from_edges([(i, i + 1) for i in range(n - 1)])
+
+
 def wide_frontier_graph(hubs: int) -> Graph:
     """Hubs 0..hubs-1, each joined to leaves hubs+i and 2*hubs+i: 2*hubs edges.
 

@@ -6,10 +6,10 @@ from decimal import Decimal
 
 import pytest
 
-from conftest import lucas, scattered_id_graph, wide_frontier_graph
+from conftest import lucas, path_graph, scattered_id_graph, wide_frontier_graph
 from covercount import cli
 from covercount.cli import main
-from covercount.generate import cycle_graph, path_graph
+from covercount.generate import cycle_graph
 from covercount.graph import format_graph
 from reference import reference_marginal
 
@@ -108,6 +108,16 @@ class TestCount:
         payload = json.loads(out)
         assert set(payload) == {"count", "log_count", "log10_count", "epsilon", "depth", "m", "n", "isolated"}
         assert 6.3 <= payload["count"] <= 7.7
+
+    @pytest.mark.parametrize(
+        "text", ["v 0\nv 1\ne 0 0 1\n", "v 0\nv 1\nv 2\nv 3\ne 0 0 1\ne 1 2 3\n"], ids=["k2", "matching2"]
+    )
+    def test_a_count_of_one_logs_zero_not_negative_zero(self, capsys, tmp_path, text):
+        # K2 and a two-edge matching: every marginal is 0, so the log sum is 0.0
+        path = tmp_path / "one.graph"
+        path.write_text(text)
+        _, out, _ = run_cli(capsys, "count", str(path), "--epsilon", "0.5")
+        assert '"count": 1.0, "log_count": 0.0, "log10_count": 0.0,' in out
 
     def test_isolated_vertex_yields_zero_with_null_log(self, capsys, tmp_path):
         path = tmp_path / "iso.graph"

@@ -55,6 +55,7 @@ class TestEstimateCount:
         result = estimate_count(Graph.from_edges([(0, 1)]), 0.5)
         assert result.value == 1.0
         assert result.log_value == 0.0
+        assert math.copysign(1.0, result.log_value) == 1.0  # 0.0, not -0.0
 
     def test_disjoint_free_edges_exact_powers_of_two(self):
         for k in (1, 3, 7):

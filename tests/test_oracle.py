@@ -11,11 +11,12 @@ from conftest import (
     graphs,
     independent_cover_count,
     lucas,
+    path_graph,
     random_small_graph,
     seeded_multigraphs,
     wide_frontier_graph,
 )
-from covercount.generate import cycle_graph, path_graph
+from covercount.generate import cycle_graph
 from covercount.graph import EdgeKind, Graph
 from covercount.oracle import NoEdgeCoverError, OracleSizeError, exact_count, exact_marginal
 from reference import dangling_subinstances
