@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge", type=int, required=True)
     p.add_argument(
         "--depth",
-        type=int,
+        type=_int_at_least(0),
         default=None,
         help=f"recursion budget; defaults to the depth an epsilon={DEFAULT_MARGINAL_EPSILON} count would use",
     )

@@ -22,8 +22,8 @@ siblings; the kernel ``_dangling`` runs all of those nodes.  A parent
 answers its leaf children itself, with no call: a truncated child is
 1/2, so a node whose children are all truncated returns a value looked
 up by their number, and a free child is 1/2 too.  Only a dangling child
-with budget left costs a call.  ``on_node`` still sees every leaf, in
-visiting order, and traced and untraced runs take the same path.  The
+with budget left costs a call.  The trace hook still sees every leaf,
+in visiting order, and traced and untraced runs take the same path.  The
 kernel folds each child's value into a running product as it comes,
 with ``dangling_combine``'s range check and in its order, so a node's
 value is ``dangling_combine`` of its children's, bit for bit.
@@ -34,13 +34,13 @@ renumbered 0..m-1 and 0..n-1 in ascending id order, with the endpoint
 and incidence tables and one live flag per edge and per vertex held in
 lists indexed by those numbers.  The renumbering keeps every order the
 recursion reads, so it visits the same tree as over the original ids.
-Ids are translated only at this module's boundary: the public functions
-map the caller's edge id in, return marginals under the original ids,
-and show ``on_node`` the original ids.  A branch clears the flags of
-what it removes and sets them again before it returns, so there is no
-undo log.  The same recursion over persistent subgraphs is kept only as
-the tests' reference (``tests/reference.py``), which this one matches
-bit for bit.
+The public functions map the caller's edge id in and return marginals
+under the original ids.  The trace hook ``on_node`` is workspace state,
+set at build time, and sees those ids directly: each node calls it once
+with its edge's id.  A branch clears the flags of what it removes and
+sets them again before it returns, so there is no undo log.  The same
+recursion over persistent subgraphs is kept only as the tests' reference
+(``tests/reference.py``), which this one matches bit for bit.
 
 ``chain_marginals(g, depth)`` runs the same recursion for every edge of
 the counter's elimination order on one shared workspace, conditioning
@@ -121,11 +121,12 @@ class _Workspace:
     vertex is live, in ascending order, so a normal edge always reads back
     as (u, v) with u < v; a live vertex's live incident edges are the live
     entries of ``inc``, already in ascending order.  ``ids`` maps a number
-    back to its edge id; the recursion sees numbers only, and the public
-    functions translate at its boundary.  The recursion clears the flags
-    of each branch and sets them again before it returns, except a node's
-    own edge e: its endpoints are dead below it, where only live vertices'
-    edges are read, and its sibling lists skip it by number.
+    back to its edge id.  ``on_node``, the run's trace hook or None, is set
+    at build time; each frame reads it once and calls it with ``ids[e]``.
+    The recursion clears the flags of each branch and sets them again
+    before it returns, except a node's own edge e: its endpoints are dead
+    below it, where only live vertices' edges are read, and its sibling
+    lists skip it by number.
     ``truncated`` is set whenever a truncated leaf is reached, by the root
     dispatch for a root at depth <= 0 and by the kernel for a node whose
     children are all truncated, and is never cleared by the recursion.
@@ -133,9 +134,9 @@ class _Workspace:
     would see.
     """
 
-    __slots__ = ("ids", "ends", "inc", "edge_live", "vert_live", "truncated", "nodes")
+    __slots__ = ("ids", "ends", "inc", "edge_live", "vert_live", "truncated", "nodes", "on_node")
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, on_node: Optional[TraceFn] = None):
         emap = g._edges
         adj = g._adj
         self.ids = ids = list(emap)
@@ -155,21 +156,11 @@ class _Workspace:
         self.vert_live = [True] * len(verts)
         self.truncated = False
         self.nodes = 0
+        self.on_node = on_node
 
     def number(self, e: int) -> int:
         """The number of edge id e, which must be an edge of the graph."""
         return bisect_left(self.ids, e)
-
-    def hook(self, on_node: Optional[TraceFn]) -> Optional[TraceFn]:
-        """on_node as the recursion calls it: with edge numbers, shown as ids."""
-        if on_node is None:
-            return None
-        ids = self.ids
-
-        def numbered(depth, e, kind, branch):
-            on_node(depth, ids[e], kind, branch)
-
-        return numbered
 
     def live_ends(self, e: int) -> list[int]:
         vert_live = self.vert_live
@@ -182,25 +173,26 @@ class _Workspace:
             self.vert_live[u] = False
 
 
-def _recurse(ws: _Workspace, e: int, depth: int, on_node: Optional[TraceFn]) -> float:
+def _recurse(ws: _Workspace, e: int, depth: int) -> float:
     # Root dispatch: every case, once per marginal and once per child of a
     # normal root.  Every dangling node, root or not, runs in _dangling.
     ws.nodes += 1
     ends = ws.live_ends(e)
+    on_node = ws.on_node
     if depth <= 0:
         ws.truncated = True
         if on_node is not None:
-            on_node(depth, e, KINDS[len(ends)], "base")
+            on_node(depth, ws.ids[e], KINDS[len(ends)], "base")
         return 0.5
     if not ends:
         if on_node is not None:
-            on_node(depth, e, EdgeKind.FREE, "free")
+            on_node(depth, ws.ids[e], EdgeKind.FREE, "free")
         return 0.5
     if len(ends) == 1:
-        return _dangling(ws, e, ends[0], depth, on_node)
+        return _dangling(ws, e, ends[0], depth)
 
     if on_node is not None:
-        on_node(depth, e, EdgeKind.NORMAL, "normal")
+        on_node(depth, ws.ids[e], EdgeKind.NORMAL, "normal")
     inc = ws.inc
     edge_live = ws.edge_live
     vert_live = ws.vert_live
@@ -211,13 +203,13 @@ def _recurse(ws: _Workspace, e: int, depth: int, on_node: Optional[TraceFn]) -> 
 
     x = 1.0
     for child in at_u:
-        x *= _recurse(ws, child, depth, on_node)
+        x *= _recurse(ws, child, depth)
         edge_live[child] = False
     y = 1.0
     for child in at_v:
         if not edge_live[child]:
             continue  # a parallel copy of e, conditioned away with u's edges; factor 1
-        y *= _recurse(ws, child, depth, on_node)
+        y *= _recurse(ws, child, depth)
         edge_live[child] = False
     for child in at_u:
         edge_live[child] = True
@@ -225,7 +217,7 @@ def _recurse(ws: _Workspace, e: int, depth: int, on_node: Optional[TraceFn]) -> 
         edge_live[child] = True
     z = 1.0
     for child in at_v:
-        z *= _recurse(ws, child, depth, on_node)
+        z *= _recurse(ws, child, depth)
         edge_live[child] = False
     for child in at_v:
         edge_live[child] = True
@@ -233,13 +225,14 @@ def _recurse(ws: _Workspace, e: int, depth: int, on_node: Optional[TraceFn]) -> 
     return normal_combine(x, y, z)
 
 
-def _dangling(ws: _Workspace, e: int, u: int, depth: int, on_node: Optional[TraceFn]) -> float:
+def _dangling(ws: _Workspace, e: int, u: int, depth: int) -> float:
     # Kernel for a dangling edge e at its one live endpoint u, depth > 0.
     # Each child has lost u, so it is free or dangling at its other
     # endpoint; leaf children (truncated or free) are answered here
     # without a call.
+    on_node = ws.on_node
     if on_node is not None:
-        on_node(depth, e, EdgeKind.DANGLING, "dangling")
+        on_node(depth, ws.ids[e], EdgeKind.DANGLING, "dangling")
     edge_live = ws.edge_live
     vert_live = ws.vert_live
     others = [x for x in ws.inc[u] if edge_live[x] and x != e]
@@ -252,7 +245,7 @@ def _dangling(ws: _Workspace, e: int, u: int, depth: int, on_node: Optional[Trac
         if on_node is not None:
             # every child's live ends include u, which its subinstance detaches
             for child in others:
-                on_node(child_depth, child, KINDS[len(ws.live_ends(child)) - 1], "base")
+                on_node(child_depth, ws.ids[child], KINDS[len(ws.live_ends(child)) - 1], "base")
         return _LEAVES[k] if k < _TABLE_SIZE else dangling_combine([0.5] * k)
 
     ends = ws.ends
@@ -261,12 +254,12 @@ def _dangling(ws: _Workspace, e: int, u: int, depth: int, on_node: Optional[Trac
     for child in others:
         a, b = ends[child][0], ends[child][-1]  # u is one of them, and dead
         if vert_live[a]:
-            x = _dangling(ws, child, a, child_depth, on_node)
+            x = _dangling(ws, child, a, child_depth)
         elif vert_live[b]:
-            x = _dangling(ws, child, b, child_depth, on_node)
+            x = _dangling(ws, child, b, child_depth)
         else:
             if on_node is not None:
-                on_node(child_depth, child, EdgeKind.FREE, "free")
+                on_node(child_depth, ws.ids[child], EdgeKind.FREE, "free")
             x = 0.5
         if not 0.0 <= x <= 0.5:
             raise ContractViolationError(f"marginal {x!r} outside [0, 1/2]")
@@ -296,8 +289,8 @@ def estimate_marginal(g: Graph, e: int, depth: int, on_node: Optional[TraceFn] =
     """
     if not g.has_edge(e):
         raise KeyError(f"unknown edge id {e}")
-    ws = _Workspace(g)
-    return _recurse(ws, ws.number(e), depth, ws.hook(on_node))
+    ws = _Workspace(g, on_node)
+    return _recurse(ws, ws.number(e), depth)
 
 
 def depth_sweep(g: Graph, e: int, max_depth: int) -> list[float]:
@@ -314,7 +307,7 @@ def depth_sweep(g: Graph, e: int, max_depth: int) -> list[float]:
     out = []
     for depth in range(max_depth + 1):
         ws.truncated = False
-        out.append(_recurse(ws, e, depth, None))
+        out.append(_recurse(ws, e, depth))
         if not ws.truncated:
             out += out[-1:] * (max_depth - depth)
             break
@@ -333,10 +326,9 @@ def chain_marginals(
     workspace built once: after each estimate the edge is conditioned in
     place, which keeps the whole chain O(n + m) outside the recursion.
     """
-    ws = _Workspace(g)
-    hook = ws.hook(on_node)
+    ws = _Workspace(g, on_node)
     out = []
     for i, e in enumerate(ws.ids):
-        out.append((e, _recurse(ws, i, depth, hook)))
+        out.append((e, _recurse(ws, i, depth)))
         ws.condition(i)
     return out, ws.nodes

@@ -173,13 +173,8 @@ class Graph:
         return f"Graph(vertices={list(self._adj)}, edges={self._edges})"
 
 
-# item tag -> (integer arguments, how an arity error words them)
-_ITEMS = {
-    "v": (1, "one integer argument"),
-    "e": (3, "3 integer arguments"),
-    "d": (2, "2 integer arguments"),
-    "f": (1, "1 integer arguments"),
-}
+# item tag -> number of integer arguments
+_ITEMS = {"v": 1, "e": 3, "d": 2, "f": 1}
 
 
 def parse_graph(text: str) -> Graph:
@@ -199,8 +194,9 @@ def parse_graph(text: str) -> Graph:
         tag, *args = line.split()
         if tag not in _ITEMS:
             raise GraphFormatError(f"line {lineno}: unknown item {tag!r}")
-        n_args, wording = _ITEMS[tag]
+        n_args = _ITEMS[tag]
         if len(args) != n_args:
+            wording = "one integer argument" if n_args == 1 else f"{n_args} integer arguments"
             raise GraphFormatError(f"line {lineno}: '{tag}' takes {wording}")
         ids = []
         for tok in args:

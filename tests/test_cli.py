@@ -194,14 +194,29 @@ class TestMarginal:
         path = tmp_path / "scattered.graph"
         path.write_text(format_graph(g))
         e = 10**12
-        code, out, err = run_cli(capsys, "marginal", str(path), "--edge", str(e), "--depth", "4", "--trace")
-        assert code == 0
-        want = []
-        assert json.loads(out)["estimate"] == reference_marginal(g, e, 4, on_node=lambda *a: want.append(a))
-        lines = [f"depth={d} edge={x} kind={cli._KIND_CHAR[k]} branch={b}" for d, x, k, b in want]
-        assert err.splitlines() == lines
-        assert lines[0] == f"depth=4 edge={e} kind=N branch=normal"
-        assert {f"edge={x}" for x in (10**12 + 1, 10**13, 10**12 + 7)} <= {line.split()[1] for line in lines}
+        # depth 0 truncates the root itself; at depth 1 every dangling child
+        # of the root has all of its own children truncated by the kernel
+        for depth, root_branch in ((0, "base"), (1, "normal"), (4, "normal")):
+            argv = ["marginal", str(path), "--edge", str(e), "--depth", str(depth), "--trace"]
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0
+            want = []
+            assert json.loads(out)["estimate"] == reference_marginal(g, e, depth, on_node=lambda *a: want.append(a))
+            lines = [f"depth={d} edge={x} kind={cli._KIND_CHAR[k]} branch={b}" for d, x, k, b in want]
+            assert err.splitlines() == lines
+            assert lines[0] == f"depth={depth} edge={e} kind=N branch={root_branch}"
+            if depth:
+                assert {f"edge={x}" for x in (10**12 + 1, 10**13, 10**12 + 7)} <= {line.split()[1] for line in lines}
+            if depth == 1:
+                assert f"depth=0 edge={10**12 + 7} kind=F branch=base" in lines
+
+    def test_negative_depth_is_an_argparse_error(self, capsys, c4_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["marginal", c4_file, "--edge", "0", "--depth", "-3"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == "covercount marginal: error: argument --depth: must be at least 0, got -3"
 
     def test_unknown_edge_fails(self, capsys, c4_file):
         code, out, err = run_cli(capsys, "marginal", c4_file, "--edge", "9")

@@ -179,11 +179,11 @@ class TestSharedWorkspace:
         star = Graph.from_edges([(0,), *((0, i) for i in range(1, 9)), (0, 1), (0, 2), (3,)])
         for graph, depths in ((g, (0, 1, 2, 5, 9)), (star, (1, 2, 3))):
             for on_node in (None, lambda *a: None):
-                ws = _Workspace(graph)
+                ws = _Workspace(graph, on_node)
                 for e in map(ws.number, graph.edge_ids):
                     for depth in depths:
                         edge_live, vert_live = list(ws.edge_live), list(ws.vert_live)
-                        _recurse(ws, e, depth, on_node)
+                        _recurse(ws, e, depth)
                         assert ws.edge_live == edge_live
                         assert ws.vert_live == vert_live
                     ws.condition(e)

@@ -370,7 +370,8 @@ class TestDanglingKernel:
             if k:
                 ws.edge_live[k] = True
             nodes = []
-            estimator._dangling(ws, 0, 0, 10, lambda *a: nodes.append(a))
+            ws.on_node = lambda *a: nodes.append(a)
+            estimator._dangling(ws, 0, 0, 10)
             assert [d for d, *_ in nodes] == [10] + [depth_discount(10, k)] * k
 
     def test_all_truncated_value_matches_dangling_combine(self):
@@ -380,7 +381,7 @@ class TestDanglingKernel:
             if k:
                 ws.edge_live[k] = True
             ws.truncated = False
-            value = estimator._dangling(ws, 0, 0, 1, None)
+            value = estimator._dangling(ws, 0, 0, 1)
             assert value.hex() == dangling_combine([0.5] * k).hex()
             assert ws.truncated == (k > 0)
 
@@ -391,7 +392,7 @@ class TestDanglingKernel:
         for bad in (0.75, -0.25, math.nan):
             monkeypatch.setattr(estimator, "_LEAVES", [bad] * estimator._TABLE_SIZE)
             with pytest.raises(ContractViolationError, match=r"marginal .* outside \[0, 1/2\]"):
-                estimator._dangling(estimator._Workspace(g), 0, 0, 2, None)
+                estimator._dangling(estimator._Workspace(g), 0, 0, 2)
 
 
 class TestDecayBounds:

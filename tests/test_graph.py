@@ -221,7 +221,7 @@ class TestTextFormat:
             ("v 0 1\n", "line 1: 'v' takes one integer argument"),
             ("v 0\ne 0 0\n", "line 2: 'e' takes 3 integer arguments"),
             ("v 0\nd 1\n", "line 2: 'd' takes 2 integer arguments"),
-            ("f 0 1\n", "line 1: 'f' takes 1 integer arguments"),
+            ("f 0 1\n", "line 1: 'f' takes one integer argument"),
         ],
         ids=[
             "dup-vertex", "dup-edge", "self-loop", "undeclared", "undeclared-first-end", "unknown-item",
