@@ -1,5 +1,5 @@
 """Best-of-5 wall time of ``estimate_count`` at eps 0.2 on cycles, grids and
-complete graphs, for one or more source trees.
+complete graphs, and of ``run_verification``, for one or more source trees.
 
     python scripts/bench_cycles.py --out BENCH_flat_workspace.json \\
         --side parent=../parent/src --side change=src \\
@@ -8,20 +8,26 @@ complete graphs, for one or more source trees.
 Each ``--side LABEL=SRC`` names a source tree (a checkout's ``src``),
 recorded as its path and the sha256 of its ``*.py`` files; a label given
 twice, or a run with no side or no instance, is an error before anything
-runs.  Every instance (``cycle<n>``, ``grid<r>x<c>`` or ``k<n>``) runs on
-every side in ``PROCESSES`` fresh interpreters per side with that ``src``
-on PYTHONPATH, the sides taking turns within each instance (the first
-side leads in even rounds, the last in odd ones).  Each process runs
-``REPEATS`` timed counts, none traced, and is one row: its best wall
-time, and from those bit-identical counts the ``depth``, the ``nodes``
-(``ApproxCount.nodes``; a tree without that field gives an error row),
-the ``value_hex`` (``ApproxCount.value.hex()``) and ``marginals_sha256``,
-the sha256 of every marginal's ``.hex()`` in chain order.  ``ratios``
-holds, per instance, the median over rounds of each side's best time
-over the first side's best in the same round.  The output records the
-machine's ``nproc`` and the Python version with the rows; after writing
-it the script exits nonzero if a run failed or two sides disagree on
-``nodes``, ``value_hex`` or ``marginals_sha256`` for the same instance.
+runs.  Every instance (``cycle<n>``, ``grid<r>x<c>``, ``k<n>`` or
+``verify<seed>``) runs on every side in ``PROCESSES`` fresh interpreters
+per side with that ``src`` on PYTHONPATH, the sides taking turns within
+each instance (the first side leads in even rounds, the last in odd
+ones).  Each process runs ``REPEATS`` timed runs, none traced, and is one
+row with its best wall time.  A graph instance's runs are counts, and
+from those bit-identical counts its row holds the ``depth``, the
+``nodes`` (``ApproxCount.nodes``; a tree without that field gives an
+error row), the ``value_hex`` (``ApproxCount.value.hex()``) and
+``marginals_sha256``, the sha256 of every marginal's ``.hex()`` in chain
+order.  A ``verify<seed>`` instance runs ``run_verification(seed=<seed>)``
+with the ``verify`` command's defaults, and its row holds
+``suites_sha256``, the sha256 of the JSON list of every suite's name,
+pass flag and detail, in their place.  ``ratios`` holds, per instance,
+the median over rounds of each side's best time over the first side's
+best in the same round.  The output records the machine's ``nproc`` and
+the Python version with the rows; after writing it the script exits
+nonzero if a run failed or two sides disagree on ``nodes``,
+``value_hex``, ``marginals_sha256`` or ``suites_sha256`` for the same
+instance.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import time
 from pathlib import Path
 
 EPSILON = 0.2
-REPEATS = 5  # timed counts per interpreter, of which the best is kept
+REPEATS = 5  # timed runs per interpreter, of which the best is kept
 PROCESSES = 5  # fresh interpreters per (side, instance)
 
 
@@ -58,19 +64,27 @@ def build(instance: str):
     if name.startswith("k"):
         n = int(name[1:])
         return Graph.from_edges([(i, j) for i in range(n) for j in range(i + 1, n)])
-    raise ValueError(f"unknown instance {instance!r}; expected cycle<n>, grid<r>x<c> or k<n>")
+    raise ValueError(f"unknown instance {instance!r}; expected cycle<n>, grid<r>x<c>, k<n> or verify<seed>")
+
+
+def best_of(run) -> tuple[object, list[float]]:
+    """The last of ``REPEATS`` timed calls of ``run`` and every call's wall time."""
+    walls = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = run()
+        walls.append(time.perf_counter() - start)
+    return result, walls
 
 
 def measure(instance: str) -> dict:
     """Run inside the child interpreter."""
+    if instance.lower().startswith("verify"):
+        return measure_verify(instance)
     from covercount.counter import estimate_count
 
     g = build(instance)
-    walls = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        result = estimate_count(g, EPSILON)
-        walls.append(time.perf_counter() - start)
+    result, walls = best_of(lambda: estimate_count(g, EPSILON))
     best = min(walls)
     return {
         "instance": instance,
@@ -84,6 +98,22 @@ def measure(instance: str) -> dict:
         "walls_s": walls,
         "us_per_edge": best / g.edge_count * 1e6,
         "ns_per_node": best / result.nodes * 1e9,
+    }
+
+
+def measure_verify(instance: str) -> dict:
+    """A ``verify<seed>`` instance, run inside the child interpreter."""
+    from covercount.verify import run_verification
+
+    seed = int(instance[len("verify") :])
+    results, walls = best_of(lambda: run_verification(seed=seed))
+    suites = json.dumps([[r.name, r.passed, r.detail] for r in results])
+    return {
+        "instance": instance,
+        "seed": seed,
+        "suites_sha256": hashlib.sha256(suites.encode()).hexdigest(),
+        "best_s": min(walls),
+        "walls_s": walls,
     }
 
 
@@ -124,17 +154,19 @@ def median_ratios(rows: list[dict], base: str) -> list[dict]:
     return out
 
 
+# the fields on which two sides' rows must agree, by their name in a disagreement line
+AGREEMENT = {"nodes": "nodes", "value_hex": "value", "marginals_sha256": "marginals", "suites_sha256": "suites"}
+
+
 def disagreements(rows: list[dict]) -> list[str]:
-    """One line per instance whose rows differ in ``nodes``, ``value_hex`` or ``marginals_sha256``."""
-    outcomes: dict[str, dict[tuple, set[str]]] = {}
+    """One line per instance whose rows differ in any ``AGREEMENT`` field."""
+    outcomes: dict[str, dict[str, set[str]]] = {}
     for row in rows:
-        if "nodes" in row:
-            by_outcome = outcomes.setdefault(row["instance"], {})
-            outcome = row["nodes"], row["value_hex"], row["marginals_sha256"]
-            by_outcome.setdefault(outcome, set()).add(row["side"])
+        outcome = " ".join(f"{name}={row[key]}" for key, name in AGREEMENT.items() if key in row)
+        if outcome:  # an error row has none
+            outcomes.setdefault(row["instance"], {}).setdefault(outcome, set()).add(row["side"])
     return [
-        f"{instance}: "
-        + "; ".join(f"nodes={n} value={v} marginals={h} from {sorted(s)}" for (n, v, h), s in by_outcome.items())
+        f"{instance}: " + "; ".join(f"{outcome} from {sorted(sides)}" for outcome, sides in by_outcome.items())
         for instance, by_outcome in outcomes.items()
         if len(by_outcome) > 1
     ]
@@ -175,8 +207,8 @@ def main() -> int:
                 rows.append(row)
     record = {
         "what": (
-            f"best-of-{REPEATS} wall time of estimate_count(g, {EPSILON}) "
-            f"in each of {PROCESSES} fresh interpreters per side and instance"
+            f"best-of-{REPEATS} wall time of estimate_count(g, {EPSILON}), or of run_verification(seed=<seed>) "
+            f"for verify<seed>, in each of {PROCESSES} fresh interpreters per side and instance"
         ),
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),

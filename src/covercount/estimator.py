@@ -90,9 +90,11 @@ def normal_combine(x: float, y: float, z: float) -> float:
     denominator in [1, 2] and the result in [0, 1/2]; anything below 1
     signals a broken caller rather than a representable marginal.
     """
-    for name, t in (("x", x), ("y", y), ("z", z)):
-        if not 0.0 <= t <= 1.0:
-            raise ContractViolationError(f"product {name}={t!r} outside [0, 1]")
+    # one chained comparison; the loop only names the input that failed it
+    if not 0.0 <= x <= 1.0 >= y >= 0.0 <= z <= 1.0:
+        for name, t in (("x", x), ("y", y), ("z", z)):
+            if not 0.0 <= t <= 1.0:
+                raise ContractViolationError(f"product {name}={t!r} outside [0, 1]")
     denom = 2.0 + (x * y - x - z)
     if denom < 1.0:
         raise ContractViolationError(f"denominator {denom!r} below 1; inputs violate the product coupling")

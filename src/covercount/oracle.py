@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from operator import itemgetter
 
 from .graph import Graph
 
@@ -30,6 +29,41 @@ class NoEdgeCoverError(ValueError):
     """The graph has no edge cover, so the marginal is undefined."""
 
 
+def _walk(g: Graph, cap: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """The DP's walk over g's non-free edges and each step's (take, done)
+    bit masks: the vertices the edge covers, and those it closes."""
+    ends = {e: g.endpoints(e) for e in g.edge_ids}
+    walk = sorted(filter(ends.get, ends), key=lambda e: ends[e][-1])
+    last: dict[int, int] = {}  # each vertex's last step
+    net = [0] * len(walk)  # vertices each step opens, less those it closes
+    for i, e in enumerate(walk):
+        for v in ends[e]:
+            net[i] += v not in last
+            last[v] = i
+    for i in last.values():
+        net[i] -= 1
+    width = max(accumulate(net), default=0)  # most vertices open at once
+    if width > cap:
+        raise OracleSizeError(f"oracle too large: a frontier of {width} vertices exceeds the cap of {cap}")
+    bit = {v: 1 << i for i, v in enumerate(sorted(g.vertices))}
+    steps = [
+        (sum(bit[v] for v in ends[e]), sum(bit[v] for v in ends[e] if last[v] == i)) for i, e in enumerate(walk)
+    ]
+    return walk, steps
+
+
+def _step(states: dict[int, int], take: int, done: int) -> dict[int, int]:
+    """The DP's layer after one step: each state skips or takes the edge,
+    and only states covering every vertex the step closes survive."""
+    nxt: dict[int, int] = {}
+    for s, c in states.items():
+        for t in (s, s | take):
+            if t & done == done:
+                t ^= done
+                nxt[t] = nxt.get(t, 0) + c
+    return nxt
+
+
 def exact_count(g: Graph, cap: int = DEFAULT_FRONTIER_CAP) -> int:
     """Number of edge subsets that cover every vertex.
 
@@ -39,32 +73,47 @@ def exact_count(g: Graph, cap: int = DEFAULT_FRONTIER_CAP) -> int:
     """
     if g.has_isolated_vertex():
         return 0  # no subset can cover it
-    walk = sorted(filter(None, map(g.endpoints, g.edge_ids)), key=itemgetter(-1))
-    last: dict[int, int] = {}  # each vertex's last step
-    net = [0] * len(walk)  # vertices each step opens, less those it closes
-    for i, ends in enumerate(walk):
-        for v in ends:
-            net[i] += v not in last
-            last[v] = i
-    for i in last.values():
-        net[i] -= 1
-    width = max(accumulate(net), default=0)  # most vertices open at once
-    if width > cap:
-        raise OracleSizeError(f"oracle too large: a frontier of {width} vertices exceeds the cap of {cap}")
-    bit = {v: 1 << i for i, v in enumerate(sorted(g.vertices))}
-
+    walk, steps = _walk(g, cap)
     states = {0: 1}
-    for i, ends in enumerate(walk):
-        take = sum(bit[v] for v in ends)
-        done = sum(bit[v] for v in ends if last[v] == i)  # vertices leaving the frontier
-        nxt: dict[int, int] = {}
-        for s, c in states.items():
-            for t in (s, s | take):
-                if t & done == done:
-                    t ^= done
-                    nxt[t] = nxt.get(t, 0) + c
-        states = nxt
+    for take, done in steps:
+        states = _step(states, take, done)
     return states.get(0, 0) << (g.edge_count - len(walk))
+
+
+def exact_count_without(g: Graph, cap: int = DEFAULT_FRONTIER_CAP) -> tuple[int, dict[int, int]]:
+    """``(|EC(g)|, {e: |EC(g - e)|})`` from one forward and one backward pass.
+
+    The forward pass keeps every layer F_i of ``exact_count``'s DP; the
+    backward pass builds B_i(s), the number of ways to finish the walk
+    from state s before step i, over F_i's states.  Covers of g - e are
+    the walks that skip e's step, so ``|EC(g - e)|`` is the sum over s of
+    F_i(s) times B_{i+1} of skip's successor of s.  A free edge's count is
+    half the total.  Every forward layer is held until the backward pass,
+    so memory is their sum, not ``exact_count``'s two layers.
+    """
+    if g.has_isolated_vertex():
+        return 0, dict.fromkeys(g.edge_ids, 0)  # g - e keeps the isolated vertex
+    walk, steps = _walk(g, cap)
+    layers = [{0: 1}]
+    for take, done in steps:
+        layers.append(_step(layers[-1], take, done))
+    free = g.edge_count - len(walk)
+    count = layers[-1].get(0, 0) << free
+    without = dict.fromkeys(g.edge_ids, count >> 1)  # a free edge's; the walk's edges are set below
+    # A successor that leaves a closing vertex uncovered keeps that
+    # vertex's bit, which no reachable state holds, so it reads B = 0.
+    after = {0: 1}  # B at the walk's end
+    for i in reversed(range(len(walk))):
+        take, done = steps[i]
+        skipped = 0
+        before = {}
+        for s, c in layers[i].items():
+            b = after.get(s ^ done, 0)  # skip e
+            skipped += c * b
+            before[s] = b + after.get((s | take) ^ done, 0)  # or take it
+        without[walk[i]] = skipped << free
+        after = before
+    return count, without
 
 
 def exact_marginal(g: Graph, e: int) -> Fraction:

@@ -2,10 +2,14 @@
 
 Each suite sweeps a seeded corpus (every labeled simple graph on up to 4
 vertices, plus seeded random multigraphs with dangling and free edges)
-and reports its worst observed error against the guaranteed bound.  The
-oracle counts each corpus graph, and each of its edge-deleted graphs,
-once; the suites share those counts as ``(graph, count, without)``
-triples, where ``without[e]`` is the count of the graph minus edge e.
+and reports its worst observed error against the guaranteed bound.  One
+forward-backward pass of the oracle (``exact_count_without``) counts each
+corpus graph and all of its edge-deleted graphs; the suites share those
+counts as ``(graph, count, without)`` triples, where ``without[e]`` is the
+count of the graph minus edge e.  The identity suite checks the pass
+against independent ``exact_count`` DPs: the count doubles when a free
+edge is added, and each normal edge's ``without[e]``, from the backward
+pass, is the count less the count with e conditioned in.
 """
 
 from __future__ import annotations
@@ -23,12 +27,14 @@ from .counter import estimate_count
 from .estimator import dangling_combine, depth_sweep, estimate_marginal, normal_combine  # noqa: F401
 from .generate import random_multigraph
 from .graph import EdgeKind, Graph
-from .oracle import exact_count, exact_marginal
+from .oracle import exact_count, exact_count_without, exact_marginal
 
 FLOAT_SLACK = 1e-9
 HALF_SLACK = 1e-12
 MAX_DEPTH = 12
 SMALL_GRAPH_VERTICES = 4
+# dangling_combine's Lipschitz constant for d inputs in [0, 1/2]
+_DANGLING_LIPSCHITZ = tuple(min(0.5, d * 0.5 ** (d - 1)) for d in range(9))
 
 
 @dataclass(frozen=True)
@@ -166,48 +172,52 @@ def sensitivity_bounds_suite(seed: int, trials: int) -> list[SuiteResult]:
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    # 0.5 * draw() is rng.uniform(0.0, 0.5) and randrange(9) is
-    # randint(0, 8), draw for draw, without their Python-level frames
+    # 0.5 * draw() is rng.uniform(0.0, 0.5), and the getrandbits(4) loop
+    # is randrange(9), draw for draw, without their Python-level frames
     rng = random.Random(seed)
     draw = rng.random
+    bits = rng.getrandbits
+    prod = math.prod
     worst_margin_f = -math.inf
     ok_f = True
     for _ in range(trials):
-        d = rng.randrange(9)
-        xs = [0.5 * draw() for _ in range(d)]
-        xhat = [0.5 * draw() for _ in range(d)]
-        eps = max(map(abs, map(operator.sub, xs, xhat)), default=0.0)
-        bound = min(0.5, d * 0.5 ** (d - 1)) * eps
+        d = bits(4)
+        while d >= 9:
+            d = bits(4)
+        v = [0.5 * draw() for _ in range(2 * d)]
+        xs, xhat = v[:d], v[d:]
+        eps = max(map(abs, map(operator.sub, xs, xhat))) if d else 0.0
+        bound = _DANGLING_LIPSCHITZ[d] * eps
         diff = abs(dangling_combine(xhat) - dangling_combine(xs))
-        if bound > 0.0:
-            worst_margin_f = max(worst_margin_f, diff - bound)
+        if bound > 0.0 and diff - bound > worst_margin_f:
+            worst_margin_f = diff - bound
         if diff > bound + FLOAT_SLACK:
             ok_f = False
 
     worst_margin_g = -math.inf
     ok_g = True
     for _ in range(trials):
-        d1 = rng.randrange(9)
-        d2 = rng.randrange(9)
-        xs = [0.5 * draw() for _ in range(d1)]
-        xhat = [0.5 * draw() for _ in range(d1)]
-        ys = [0.5 * draw() for _ in range(d2)]
-        yhat = [0.5 * draw() for _ in range(d2)]
+        d1 = bits(4)
+        while d1 >= 9:
+            d1 = bits(4)
+        d2 = bits(4)
+        while d2 >= 9:
+            d2 = bits(4)
+        # drawn in the order xs, xhat, ys, yhat and, when d1 > 0, zs, zhat
+        v = [0.5 * draw() for _ in range(2 * d1 + (4 if d1 else 2) * d2)]
+        i = 2 * d1 + d2
+        xs, xhat, ys, yhat = v[:d1], v[d1 : 2 * d1], v[2 * d1 : i], v[i : i + d2]
         if d1 == 0:
             # with no edges on the first side, the second and third chains
             # coincide, so their products are coupled
             zs, zhat = ys, yhat
         else:
-            zs = [0.5 * draw() for _ in range(d2)]
-            zhat = [0.5 * draw() for _ in range(d2)]
-        eps = max(map(abs, map(operator.sub, xs + ys + zs, xhat + yhat + zhat)), default=0.0)
-        diff = abs(
-            normal_combine(math.prod(xhat), math.prod(yhat), math.prod(zhat))
-            - normal_combine(math.prod(xs), math.prod(ys), math.prod(zs))
-        )
+            zs, zhat = v[i + d2 : i + 2 * d2], v[i + 2 * d2 :]
+        eps = max(map(abs, map(operator.sub, xs + ys + zs, xhat + yhat + zhat))) if d1 or d2 else 0.0
+        diff = abs(normal_combine(prod(xhat), prod(yhat), prod(zhat)) - normal_combine(prod(xs), prod(ys), prod(zs)))
         bound = 3.0 * eps
-        if bound > 0.0:
-            worst_margin_g = max(worst_margin_g, diff - bound)
+        if bound > 0.0 and diff - bound > worst_margin_g:
+            worst_margin_g = diff - bound
         if diff > bound + FLOAT_SLACK:
             ok_g = False
 
@@ -226,10 +236,7 @@ def run_verification(
 ) -> list[SuiteResult]:
     if max_edges < 1:
         raise ValueError(f"max_edges must be at least 1, got {max_edges}")
-    counted = []
-    for g in verification_corpus(max_edges, seed, instances):
-        without = {e: exact_count(g.remove_edge(e)) for e in g.edge_ids}
-        counted.append((g, exact_count(g), without))
+    counted = [(g, *exact_count_without(g)) for g in verification_corpus(max_edges, seed, instances)]
     results = marginal_suites(counted)
     results.extend(fptas_suite(counted, epsilons))
     results.append(identity_suite(counted))

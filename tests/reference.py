@@ -6,15 +6,22 @@ recursion out over persistent ``Graph`` values: the chain subinstances
 of a dangling or normal edge, and ``reference_marginal``, which the
 tests pin the production recursion against bit for bit and, through
 its ``on_node`` hook, node for node.
+
+It also keeps ``sensitivity_bounds_suite`` in its ``randrange`` form,
+which the tests pin ``covercount.verify``'s inlined draws against,
+draw for draw.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import random
 from typing import Optional
 
 from covercount.estimator import TraceFn, dangling_combine, normal_combine
 from covercount.graph import EdgeKind, Graph
+from covercount.verify import FLOAT_SLACK, SuiteResult
 
 
 def depth_discount(depth: int, d: int) -> int:
@@ -123,3 +130,65 @@ def reference_marginal(g: Graph, e: int, depth: int, on_node: Optional[TraceFn] 
     y = math.prod(reference_marginal(sub, child, depth, on_node) for sub, child in second)
     z = math.prod(reference_marginal(sub, child, depth, on_node) for sub, child in third)
     return normal_combine(x, y, z)
+
+
+def sensitivity_bounds_suite(seed: int, trials: int) -> list[SuiteResult]:
+    """Lipschitz bounds of both combinators on random in-range inputs.
+
+    Every trial counts toward pass/fail.  The reported worst margin
+    (difference minus bound) is taken over trials with a positive bound
+    only: a trial with empty or equal inputs has difference and bound 0,
+    so it would pin the margin at 0 and hide every other trial's.  It is
+    -inf when no trial had a positive bound.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    # 0.5 * draw() is rng.uniform(0.0, 0.5) and randrange(9) is
+    # randint(0, 8), draw for draw, without their Python-level frames
+    rng = random.Random(seed)
+    draw = rng.random
+    worst_margin_f = -math.inf
+    ok_f = True
+    for _ in range(trials):
+        d = rng.randrange(9)
+        xs = [0.5 * draw() for _ in range(d)]
+        xhat = [0.5 * draw() for _ in range(d)]
+        eps = max(map(abs, map(operator.sub, xs, xhat)), default=0.0)
+        bound = min(0.5, d * 0.5 ** (d - 1)) * eps
+        diff = abs(dangling_combine(xhat) - dangling_combine(xs))
+        if bound > 0.0:
+            worst_margin_f = max(worst_margin_f, diff - bound)
+        if diff > bound + FLOAT_SLACK:
+            ok_f = False
+
+    worst_margin_g = -math.inf
+    ok_g = True
+    for _ in range(trials):
+        d1 = rng.randrange(9)
+        d2 = rng.randrange(9)
+        xs = [0.5 * draw() for _ in range(d1)]
+        xhat = [0.5 * draw() for _ in range(d1)]
+        ys = [0.5 * draw() for _ in range(d2)]
+        yhat = [0.5 * draw() for _ in range(d2)]
+        if d1 == 0:
+            # with no edges on the first side, the second and third chains
+            # coincide, so their products are coupled
+            zs, zhat = ys, yhat
+        else:
+            zs = [0.5 * draw() for _ in range(d2)]
+            zhat = [0.5 * draw() for _ in range(d2)]
+        eps = max(map(abs, map(operator.sub, xs + ys + zs, xhat + yhat + zhat)), default=0.0)
+        diff = abs(
+            normal_combine(math.prod(xhat), math.prod(yhat), math.prod(zhat))
+            - normal_combine(math.prod(xs), math.prod(ys), math.prod(zs))
+        )
+        bound = 3.0 * eps
+        if bound > 0.0:
+            worst_margin_g = max(worst_margin_g, diff - bound)
+        if diff > bound + FLOAT_SLACK:
+            ok_g = False
+
+    return [
+        SuiteResult("dangling-combine-sensitivity", ok_f, f"trials={trials} worst_margin={worst_margin_f:.3e}"),
+        SuiteResult("normal-combine-sensitivity", ok_g, f"trials={trials} worst_margin={worst_margin_g:.3e}"),
+    ]

@@ -16,7 +16,7 @@ from covercount.counter import depth_for, elimination_chain, estimate_count
 from covercount.estimator import depth_sweep, estimate_marginal
 from covercount.generate import cycle_graph, random_multigraph
 from covercount.graph import EdgeKind, Graph
-from covercount.oracle import exact_count, exact_marginal
+from covercount.oracle import exact_count, exact_count_without, exact_marginal
 from covercount.verify import sensitivity_bounds_suite, run_verification
 
 FLOAT_SLACK = 1e-9
@@ -60,9 +60,10 @@ def corpus() -> list[Graph]:
 
 
 @pytest.fixture(scope="session")
-def counted(corpus) -> list[tuple[Graph, int]]:
-    """(graph, exact count) per corpus graph; the oracle counts each once."""
-    return [(g, exact_count(g)) for g in corpus]
+def counted(corpus) -> list[tuple[Graph, int, dict[int, int]]]:
+    """(graph, exact count, {e: exact count of graph - e}) per corpus graph;
+    one forward-backward pass of the oracle gives each graph's counts."""
+    return [(g, *exact_count_without(g)) for g in corpus]
 
 
 @pytest.fixture(scope="session")
@@ -72,11 +73,11 @@ def marginal_sweep(counted):
     ``depth_sweep`` gives ``estimate_marginal`` at every depth, reusing a
     settled depth's value for the deeper ones."""
     rows = []
-    for g, z in counted:
+    for g, z, without in counted:
         if z == 0:
             continue
         for e in g.edge_ids:
-            exact = Fraction(exact_count(g.remove_edge(e)), z)
+            exact = Fraction(without[e], z)
             estimates = dict(zip(DEPTHS, depth_sweep(g, e, DEPTHS[-1])))
             rows.append((g.classify(e), exact, estimates))
     return rows
@@ -85,7 +86,7 @@ def marginal_sweep(counted):
 @pytest.fixture(scope="session")
 def counter_sweep(counted):
     """(exact count, {epsilon: approximate count result}) per corpus graph."""
-    return [(z, {eps: estimate_count(g, eps) for eps in EPSILONS}) for g, z in counted]
+    return [(z, {eps: estimate_count(g, eps) for eps in EPSILONS}) for g, z, _ in counted]
 
 
 # -- criteria -----------------------------------------------------------------

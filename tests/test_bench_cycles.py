@@ -1,7 +1,8 @@
 """scripts/bench_cycles.py names each side by its source content, counts each
-graph only in the counts it times, names every instance whose sides disagree,
-fails when a run fails, and refuses a side label given twice or a run that
-would measure nothing."""
+graph only in the counts it times, times ``run_verification`` for a
+``verify<seed>`` instance, names every instance whose sides disagree, fails
+when a run fails, and refuses a side label given twice or a run that would
+measure nothing."""
 
 import hashlib
 import json
@@ -62,6 +63,36 @@ def test_disagreements_name_instances_whose_nodes_or_values_differ(bench):
         "cycle9: nodes=10 value=0x1.0p+0 marginals=aa from ['parent']; nodes=10 value=0x1.8p+0 marginals=aa from ['change']",
         "cycle12: nodes=10 value=0x1.0p+0 marginals=aa from ['parent']; nodes=10 value=0x1.0p+0 marginals=bb from ['change']",
     ]
+
+
+def test_a_verify_row_runs_the_command_defaults_and_digests_every_suite(bench, monkeypatch):
+    import covercount.verify
+    from covercount.verify import SuiteResult
+
+    calls = []
+    results = [SuiteResult("decay-bound", True, "worst_err=1.0e-01"), SuiteResult("fptas-eps=0.5", False, "x")]
+
+    def run_verification(**kwargs):
+        calls.append(kwargs)
+        return results
+
+    monkeypatch.setattr(covercount.verify, "run_verification", run_verification)
+    row = bench.measure("verify712")
+
+    # the verify command's defaults are run_verification's own (tests/test_verify.py)
+    assert calls == [{"seed": 712}] * bench.REPEATS
+    text = '[["decay-bound", true, "worst_err=1.0e-01"], ["fptas-eps=0.5", false, "x"]]'
+    assert row["suites_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+    assert row["seed"] == 712 and len(row["walls_s"]) == bench.REPEATS and row["best_s"] == min(row["walls_s"])
+    assert not {"nodes", "value_hex", "marginals_sha256"} & set(row)
+
+
+def test_disagreements_name_verify_instances_whose_suites_differ(bench):
+    rows = [{"side": side, "instance": "verify0", "suites_sha256": "aa"} for side in ("parent", "change")]
+    rows += [{"side": "parent", "instance": "verify3", "suites_sha256": "aa"}]
+    rows += [{"side": "change", "instance": "verify3", "suites_sha256": "bb"}]
+    rows.append({"side": "change", "instance": "verify0", "error": "ValueError"})
+    assert bench.disagreements(rows) == ["verify3: suites=aa from ['parent']; suites=bb from ['change']"]
 
 
 def test_a_row_records_the_digest_of_its_marginals_in_chain_order(bench, monkeypatch):

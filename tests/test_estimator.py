@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -64,6 +65,22 @@ class TestNormalCombine:
     @pytest.mark.parametrize("bad", [(-0.1, 1, 1), (1, 1.2, 1), (1, 1, 2.0)])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ContractViolationError):
+            normal_combine(*bad)
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            ((-0.1, 1.0, 1.0), "x=-0.1"),
+            ((1.0, 1.2, 1.0), "y=1.2"),
+            ((0.5, -0.5, 0.5), "y=-0.5"),
+            ((1.0, 1.0, 2.0), "z=2.0"),
+            ((0.5, 0.5, -0.0001), "z=-0.0001"),
+            ((0.5, math.nan, 3.0), "y=nan"),
+            ((1.5, -1.0, math.inf), "x=1.5"),
+        ],
+    )
+    def test_the_first_out_of_range_product_is_named(self, bad, named):
+        with pytest.raises(ContractViolationError, match=rf"^product {re.escape(named)} outside \[0, 1\]$"):
             normal_combine(*bad)
 
     def test_uncoupled_products_rejected(self):

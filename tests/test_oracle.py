@@ -18,7 +18,7 @@ from conftest import (
 )
 from covercount.generate import cycle_graph
 from covercount.graph import EdgeKind, Graph
-from covercount.oracle import NoEdgeCoverError, OracleSizeError, exact_count, exact_marginal
+from covercount.oracle import NoEdgeCoverError, OracleSizeError, exact_count, exact_count_without, exact_marginal
 from reference import dangling_subinstances
 
 
@@ -157,6 +157,59 @@ class TestOracleInvariants:
                 assert exact_marginal(g, e) == (1 - prod) / (2 - prod)
                 checked += 1
         assert checked > 20
+
+
+def per_edge_counts(g: Graph) -> tuple[int, dict[int, int]]:
+    """``exact_count_without``'s answer, one forward DP per graph."""
+    return exact_count(g), {e: exact_count(g.remove_edge(e)) for e in g.edge_ids}
+
+
+class TestExactCountWithout:
+    def test_matches_per_edge_counts_on_every_small_graph(self):
+        from covercount.verify import exhaustive_small_graphs
+
+        for g in exhaustive_small_graphs():
+            assert exact_count_without(g) == per_edge_counts(g)
+
+    def test_matches_per_edge_counts_on_multigraphs(self):
+        kinds = set()
+        parallel = zeros = 0
+        for g in seeded_multigraphs(300, max_edges=14):
+            z, without = exact_count_without(g)
+            assert (z, without) == per_edge_counts(g)
+            assert list(without) == list(g.edge_ids)
+            kinds.update(g.classify(e) for e in g.edge_ids)
+            pairs = [g.endpoints(e) for e in g.edge_ids if g.classify(e) is EdgeKind.NORMAL]
+            parallel += len(pairs) > len(set(pairs))
+            zeros += 0 in without.values()  # some edge is the only one at a vertex
+        assert kinds == set(EdgeKind)
+        assert parallel > 20 and zeros > 20
+
+    def test_the_empty_graph(self):
+        assert exact_count_without(Graph([], [])) == (1, {})
+
+    def test_free_edges_only(self):
+        assert exact_count_without(Graph.from_edges([()] * 5)) == (32, dict.fromkeys(range(5), 16))
+
+    def test_an_isolated_vertex_zeroes_every_count(self):
+        g = Graph([0, 1, 2, 3], [(0, (0, 1)), (1, (1,)), (2, ()), (5, (0, 1))])
+        assert exact_count_without(g) == (0, {0: 0, 1: 0, 2: 0, 5: 0})
+        assert per_edge_counts(g) == exact_count_without(g)
+
+    def test_a_graph_over_the_cap_is_refused_with_exact_counts_message(self):
+        g = wide_frontier_graph(25)
+        with pytest.raises(OracleSizeError) as without_error:
+            exact_count_without(g)
+        with pytest.raises(OracleSizeError) as count_error:
+            exact_count(g)
+        assert str(without_error.value) == str(count_error.value)
+        assert "oracle too large" in str(without_error.value)
+        assert exact_count_without(g, cap=25)[0] == exact_count(g, cap=25) == 1
+
+    def test_is_not_a_package_name(self):
+        import covercount
+
+        assert "exact_count_without" not in covercount.__all__
 
 
 class TestFrontierDp:

@@ -7,6 +7,7 @@ import pytest
 from covercount import cli, oracle, verify
 from covercount.generate import cycle_graph
 from covercount.graph import Graph, format_graph
+from reference import sensitivity_bounds_suite as randrange_sensitivity_suite
 
 
 def test_each_corpus_graph_reaches_the_oracle_once(monkeypatch):
@@ -20,21 +21,28 @@ def test_each_corpus_graph_reaches_the_oracle_once(monkeypatch):
     calls = Counter()
     by_content = Counter()
     exact_count = oracle.exact_count
+    exact_count_without = oracle.exact_count_without
 
     def counting(g, *args, **kwargs):
-        calls[id(g)] += 1
         by_content[format_graph(g)] += 1
         return exact_count(g, *args, **kwargs)
 
+    def counting_without(g, *args, **kwargs):
+        calls[id(g)] += 1
+        return exact_count_without(g, *args, **kwargs)
+
     monkeypatch.setattr(verify, "exact_count", counting)
     monkeypatch.setattr(oracle, "exact_count", counting)
+    monkeypatch.setattr(verify, "exact_count_without", counting_without)
 
     results = verify.run_verification(trials=1)
 
     assert all(r.passed for r in results), results
+    # one forward-backward pass per corpus graph gives its count and every edge-deleted count
     assert [calls[id(g)] for g in corpus] == [1, 1, 1]
-    deleted = [format_graph(g.remove_edge(e)) for g in corpus for e in g.edge_ids]
-    assert [by_content[text] for text in deleted] == [1] * len(deleted)
+    assert sum(calls.values()) == len(corpus)
+    counted = [format_graph(g) for g in corpus] + [format_graph(g.remove_edge(e)) for g in corpus for e in g.edge_ids]
+    assert [by_content[text] for text in counted] == [0] * len(counted)
 
 
 def test_a_graph_at_the_edge_cap_passes_the_identities(monkeypatch):
@@ -101,3 +109,10 @@ def test_sensitivity_margin_without_a_bounded_trial_is_minus_infinity():
     dangling, normal = verify.sensitivity_bounds_suite(2, 1)
     assert dangling.passed and dangling.detail == "trials=1 worst_margin=-inf"
     assert normal.passed and normal.detail == "trials=1 worst_margin=-2.638e-01"
+
+
+@pytest.mark.parametrize("trials", [1, 7, 500, 5000])
+def test_sensitivity_trials_draw_what_randrange_draws(trials):
+    # the inlined getrandbits loop and per-trial draws replay the randrange/uniform spelling exactly
+    for seed in range(20):
+        assert verify.sensitivity_bounds_suite(seed, trials) == randrange_sensitivity_suite(seed, trials), seed
