@@ -161,8 +161,12 @@ class _Workspace:
         self.on_node = on_node
 
     def number(self, e: int) -> int:
-        """The number of edge id e, which must be an edge of the graph."""
-        return bisect_left(self.ids, e)
+        """The number of edge id e; ``KeyError`` if e is not an edge of the graph."""
+        ids = self.ids
+        i = bisect_left(ids, e)
+        if i == len(ids) or ids[i] != e:
+            raise KeyError(f"unknown edge id {e}")
+        return i
 
     def live_ends(self, e: int) -> list[int]:
         vert_live = self.vert_live
@@ -289,8 +293,6 @@ def estimate_marginal(g: Graph, e: int, depth: int, on_node: Optional[TraceFn] =
     optional ``on_node`` hook observes every computation-tree node
     (depth, edge, kind, branch) without affecting the value.
     """
-    if not g.has_edge(e):
-        raise KeyError(f"unknown edge id {e}")
     ws = _Workspace(g, on_node)
     return _recurse(ws, ws.number(e), depth)
 
@@ -302,8 +304,6 @@ def depth_sweep(g: Graph, e: int, max_depth: int) -> list[float]:
     depth whose tree has no truncated leaf; that value is the estimate
     at every deeper depth too.
     """
-    if not g.has_edge(e):
-        raise KeyError(f"unknown edge id {e}")
     ws = _Workspace(g)
     e = ws.number(e)
     out = []

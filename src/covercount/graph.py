@@ -113,9 +113,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self._edges)
 
-    def has_edge(self, e: int) -> bool:
-        return e in self._edges
-
     def endpoints(self, e: int) -> tuple[int, ...]:
         try:
             return self._edges[e]

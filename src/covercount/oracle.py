@@ -3,18 +3,17 @@
 Edges are walked in ascending order of their larger endpoint.  A vertex
 is open from its first edge in the walk until its last.  The state is
 the set of covered open vertices, one bit per vertex at its index in
-sorted vertex order, mapped to the number of edge subsets so far that
+ascending vertex order, mapped to the number of edge subsets so far that
 reach it.  Each edge is either skipped or taken; after a vertex's last
-edge only the states covering it survive.  A walk that keeps at most w
-vertices open at once holds at most 2^w states; the cap bounds w and is
-checked before the DP starts.  Counts are exact integers and marginals
-exact rationals; no floating point enters here.
+edge only the states covering it survive.  A walk whose frontier mask
+holds at most w open vertices after any step keeps at most 2^w states;
+the cap bounds w and is checked before the DP starts.  Counts are exact
+integers and marginals exact rationals; no floating point enters here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 
 from .graph import Graph
 
@@ -31,24 +30,22 @@ class NoEdgeCoverError(ValueError):
 
 def _walk(g: Graph, cap: int) -> tuple[list[int], list[tuple[int, int]]]:
     """The DP's walk over g's non-free edges and each step's (take, done)
-    bit masks: the vertices the edge covers, and those it closes."""
-    ends = {e: g.endpoints(e) for e in g.edge_ids}
+    bit masks: the vertices the edge covers, and those it closes.  The
+    width is the most vertices the DP's frontier mask holds after any step."""
+    ends = g._edges
     walk = sorted(filter(ends.get, ends), key=lambda e: ends[e][-1])
-    last: dict[int, int] = {}  # each vertex's last step
-    net = [0] * len(walk)  # vertices each step opens, less those it closes
+    last = {v: i for i, e in enumerate(walk) for v in ends[e]}  # each vertex's last step
+    bit = {v: 1 << i for i, v in enumerate(g._adj)}
+    steps = []
+    frontier = width = 0
     for i, e in enumerate(walk):
-        for v in ends[e]:
-            net[i] += v not in last
-            last[v] = i
-    for i in last.values():
-        net[i] -= 1
-    width = max(accumulate(net), default=0)  # most vertices open at once
+        take = sum(bit[v] for v in ends[e])
+        done = sum(bit[v] for v in ends[e] if last[v] == i)
+        frontier = (frontier | take) ^ done  # done is within take: the closed vertices leave
+        width = max(width, frontier.bit_count())
+        steps.append((take, done))
     if width > cap:
         raise OracleSizeError(f"oracle too large: a frontier of {width} vertices exceeds the cap of {cap}")
-    bit = {v: 1 << i for i, v in enumerate(sorted(g.vertices))}
-    steps = [
-        (sum(bit[v] for v in ends[e]), sum(bit[v] for v in ends[e] if last[v] == i)) for i, e in enumerate(walk)
-    ]
     return walk, steps
 
 

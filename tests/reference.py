@@ -9,7 +9,9 @@ its ``on_node`` hook, node for node.
 
 It also keeps ``sensitivity_bounds_suite`` in its ``randrange`` form,
 which the tests pin ``covercount.verify``'s inlined draws against,
-draw for draw.
+draw for draw, and ``frontier_width``, the oracle's frontier width
+counted as vertices opened less vertices closed, which the tests pin
+the oracle's cap against.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from itertools import accumulate
 from typing import Optional
 
 from covercount.estimator import TraceFn, dangling_combine, normal_combine
@@ -192,3 +195,19 @@ def sensitivity_bounds_suite(seed: int, trials: int) -> list[SuiteResult]:
         SuiteResult("dangling-combine-sensitivity", ok_f, f"trials={trials} worst_margin={worst_margin_f:.3e}"),
         SuiteResult("normal-combine-sensitivity", ok_g, f"trials={trials} worst_margin={worst_margin_g:.3e}"),
     ]
+
+
+def frontier_width(g: Graph) -> int:
+    """The most vertices the oracle's walk keeps open at once, counted
+    step by step as the vertices each step opens less those it closes."""
+    ends = {e: g.endpoints(e) for e in g.edge_ids}
+    walk = sorted(filter(ends.get, ends), key=lambda e: ends[e][-1])
+    last: dict[int, int] = {}  # each vertex's last step
+    net = [0] * len(walk)  # vertices each step opens, less those it closes
+    for i, e in enumerate(walk):
+        for v in ends[e]:
+            net[i] += v not in last
+            last[v] = i
+    for i in last.values():
+        net[i] -= 1
+    return max(accumulate(net), default=0)  # most vertices open at once

@@ -340,6 +340,14 @@ class TestScatteredIds:
                 assert value.hex() == expected.hex() == sweep[depth].hex()
                 assert got == want
 
+    @pytest.mark.parametrize("e", [0, 2, 4, 8, 13, 499, 10**12 + 2, 10**12 + 8, 2**41 + 1])
+    def test_an_id_below_between_or_above_the_edge_ids_is_unknown(self, e):
+        g = scattered_id_graph()
+        for marginal in (lambda: estimate_marginal(g, e, 3), lambda: depth_sweep(g, e, 6)):
+            with pytest.raises(KeyError) as raised:
+                marginal()
+            assert raised.value.args == (f"unknown edge id {e}",)
+
     def test_dense_ids_declared_out_of_order_match_the_reference(self):
         # ids 0..n-1 and 0..m-1 need no translation, so the workspace relies
         # on the graph holding them in ascending order whatever the input order

@@ -13,13 +13,14 @@ from conftest import (
     lucas,
     path_graph,
     random_small_graph,
+    scattered_id_graph,
     seeded_multigraphs,
     wide_frontier_graph,
 )
 from covercount.generate import cycle_graph
 from covercount.graph import EdgeKind, Graph
 from covercount.oracle import NoEdgeCoverError, OracleSizeError, exact_count, exact_count_without, exact_marginal
-from reference import dangling_subinstances
+from reference import dangling_subinstances, frontier_width
 
 
 def c4() -> Graph:
@@ -48,6 +49,32 @@ class TestExactCount:
         with pytest.raises(OracleSizeError, match="oracle too large"):
             exact_count(g)
         assert exact_count(g, cap=25) == 1
+
+    def test_the_cap_is_the_opens_less_closes_width(self):
+        from covercount.verify import exhaustive_small_graphs
+
+        grids = [
+            Graph.from_edges(
+                [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+                + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+            )
+            for rows in range(1, 7)
+            for cols in range(2, 7)
+        ]
+        corpus = exhaustive_small_graphs() + seeded_multigraphs(300, max_edges=30)
+        corpus += [wide_frontier_graph(h) for h in range(1, 27)] + grids
+        corpus += [scattered_id_graph(), Graph.from_edges([(0, 1)])]
+        refused = 0
+        for g in corpus:
+            w = frontier_width(g)
+            assert exact_count(g, cap=w) >= 0
+            if w >= 1 and not g.has_isolated_vertex():
+                with pytest.raises(OracleSizeError, match=f"a frontier of {w} vertices exceeds the cap of {w - 1}$"):
+                    exact_count(g, cap=w - 1)
+                refused += 1
+        assert frontier_width(Graph.from_edges([(0, 1)])) == 0
+        assert frontier_width(wide_frontier_graph(26)) == 26
+        assert refused > 300
 
     def test_free_edges_hold_no_frontier(self):
         assert exact_count(Graph.from_edges([()] * 30)) == 2**30
