@@ -26,7 +26,11 @@ with budget left costs a call.  The trace hook still sees every leaf,
 in visiting order, and traced and untraced runs take the same path.  The
 kernel folds each child's value into a running product as it comes,
 with ``dangling_combine``'s range check and in its order, so a node's
-value is ``dangling_combine`` of its children's, bit for bit.
+value is ``dangling_combine`` of its children's, bit for bit.  Both
+frames filter live ends and siblings with plain loops, not
+comprehensions: before Python 3.12 a comprehension is a function object
+and a frame per evaluation, and each local it reads becomes a closure
+cell for the whole enclosing frame.
 
 The recursion never builds a subgraph.  It walks a live view of the
 input graph (``_Workspace``), built once per call: edges and vertices
@@ -183,7 +187,11 @@ def _recurse(ws: _Workspace, e: int, depth: int) -> float:
     # Root dispatch: every case, once per marginal and once per child of a
     # normal root.  Every dangling node, root or not, runs in _dangling.
     ws.nodes += 1
-    ends = ws.live_ends(e)
+    vert_live = ws.vert_live
+    ends = []
+    for w in ws.ends[e]:
+        if vert_live[w]:
+            ends.append(w)
     on_node = ws.on_node
     if depth <= 0:
         ws.truncated = True
@@ -201,10 +209,15 @@ def _recurse(ws: _Workspace, e: int, depth: int) -> float:
         on_node(depth, ws.ids[e], EdgeKind.NORMAL, "normal")
     inc = ws.inc
     edge_live = ws.edge_live
-    vert_live = ws.vert_live
     u, v = ends
-    at_u = [x for x in inc[u] if edge_live[x] and x != e]
-    at_v = [x for x in inc[v] if edge_live[x] and x != e]
+    at_u = []
+    for x in inc[u]:
+        if edge_live[x] and x != e:
+            at_u.append(x)
+    at_v = []
+    for x in inc[v]:
+        if edge_live[x] and x != e:
+            at_v.append(x)
     vert_live[u] = vert_live[v] = False
 
     x = 1.0
@@ -241,7 +254,10 @@ def _dangling(ws: _Workspace, e: int, u: int, depth: int) -> float:
         on_node(depth, ws.ids[e], EdgeKind.DANGLING, "dangling")
     edge_live = ws.edge_live
     vert_live = ws.vert_live
-    others = [x for x in ws.inc[u] if edge_live[x] and x != e]
+    others = []
+    for x in ws.inc[u]:
+        if edge_live[x] and x != e:
+            others.append(x)
     k = len(others)
     ws.nodes += k  # its caller counted e itself
     child_depth = depth - (_STEPS[k] if k < _TABLE_SIZE else _ceil_log6(k + 1))

@@ -39,8 +39,11 @@ def _walk(g: Graph, cap: int) -> tuple[list[int], list[tuple[int, int]]]:
     steps = []
     frontier = width = 0
     for i, e in enumerate(walk):
-        take = sum(bit[v] for v in ends[e])
-        done = sum(bit[v] for v in ends[e] if last[v] == i)
+        take = done = 0
+        for v in ends[e]:
+            take |= bit[v]
+            if last[v] == i:
+                done |= bit[v]
         frontier = (frontier | take) ^ done  # done is within take: the closed vertices leave
         width = max(width, frontier.bit_count())
         steps.append((take, done))

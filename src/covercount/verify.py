@@ -174,6 +174,7 @@ def sensitivity_bounds_suite(seed: int, trials: int) -> list[SuiteResult]:
         raise ValueError(f"trials must be at least 1, got {trials}")
     # 0.5 * draw() is rng.uniform(0.0, 0.5), and the getrandbits(4) loop
     # is randrange(9), draw for draw, without their Python-level frames
+    # (and plain loops, not comprehensions that would close over draw)
     rng = random.Random(seed)
     draw = rng.random
     bits = rng.getrandbits
@@ -184,7 +185,9 @@ def sensitivity_bounds_suite(seed: int, trials: int) -> list[SuiteResult]:
         d = bits(4)
         while d >= 9:
             d = bits(4)
-        v = [0.5 * draw() for _ in range(2 * d)]
+        v = []
+        for _ in range(2 * d):
+            v.append(0.5 * draw())
         xs, xhat = v[:d], v[d:]
         eps = max(map(abs, map(operator.sub, xs, xhat))) if d else 0.0
         bound = _DANGLING_LIPSCHITZ[d] * eps
@@ -204,7 +207,9 @@ def sensitivity_bounds_suite(seed: int, trials: int) -> list[SuiteResult]:
         while d2 >= 9:
             d2 = bits(4)
         # drawn in the order xs, xhat, ys, yhat and, when d1 > 0, zs, zhat
-        v = [0.5 * draw() for _ in range(2 * d1 + (4 if d1 else 2) * d2)]
+        v = []
+        for _ in range(2 * d1 + (4 if d1 else 2) * d2):
+            v.append(0.5 * draw())
         i = 2 * d1 + d2
         xs, xhat, ys, yhat = v[:d1], v[d1 : 2 * d1], v[2 * d1 : i], v[i : i + d2]
         if d1 == 0:

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import random
 import re
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import path_graph, random_small_graph, scattered_id_graph, seeded_multigraphs
-from covercount import estimator
+from covercount import estimator, oracle
 from covercount.counter import elimination_chain, estimate_count
 from covercount.estimator import (
     ContractViolationError,
@@ -418,6 +420,16 @@ class TestDanglingKernel:
             monkeypatch.setattr(estimator, "_LEAVES", [bad] * estimator._TABLE_SIZE)
             with pytest.raises(ContractViolationError, match=r"marginal .* outside \[0, 1/2\]"):
                 estimator._dangling(estimator._Workspace(g), 0, 0, 2)
+
+
+@pytest.mark.parametrize("fn", [estimator._recurse, estimator._dangling, oracle._step], ids=lambda f: f.__name__)
+def test_per_node_frames_build_no_nested_function(fn):
+    # Before Python 3.12 each of these is a function object and a frame per
+    # evaluation, and turns the locals it reads into closure cells.  Read
+    # from the source, so the check does not depend on the running version.
+    nested = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.Lambda)
+    found = [type(n).__name__ for n in ast.walk(ast.parse(inspect.getsource(fn))) if isinstance(n, nested)]
+    assert found == []
 
 
 class TestDecayBounds:
