@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
+from operator import sub
 
 from .counter import estimate_count
 
@@ -35,6 +35,9 @@ MAX_DEPTH = 12
 SMALL_GRAPH_VERTICES = 4
 # dangling_combine's Lipschitz constant for d inputs in [0, 1/2]
 _DANGLING_LIPSCHITZ = tuple(min(0.5, d * 0.5 ** (d - 1)) for d in range(9))
+# the truncation-decay bounds at depth L: 3·(1/2)^(L+1), and (1/2)^(L+1) at a dangling or free root
+_DECAY_BOUND = tuple(3.0 * 0.5 ** (L + 1) for L in range(MAX_DEPTH + 1))
+_SHARP_BOUND = tuple(0.5 ** (L + 1) for L in range(MAX_DEPTH + 1))
 
 
 @dataclass(frozen=True)
@@ -89,19 +92,21 @@ def marginal_suites(counted) -> list[SuiteResult]:
                 ok_half = False
             for L, est in enumerate(depth_sweep(g, e, MAX_DEPTH)):
                 err = abs(est - exact)
-                bound = 3.0 * 0.5 ** (L + 1)
+                bound = _DECAY_BOUND[L]
                 if err > worst:
                     worst, worst_bound = err, bound
                 if err > bound + FLOAT_SLACK:
                     ok = False
                 if sharp:
-                    bound1 = 0.5 ** (L + 1)
+                    bound1 = _SHARP_BOUND[L]
                     if err > worst_sharp:
                         worst_sharp, worst_sharp_bound = err, bound1
                     if err > bound1 + FLOAT_SLACK:
                         ok_sharp = False
-                hi = max(hi, est)
-                lo = min(lo, est)
+                if est > hi:
+                    hi = est
+                if est < lo:
+                    lo = est
                 if not 0.0 <= est <= 0.5 + HALF_SLACK:
                     ok_half = False
     return [
@@ -178,18 +183,18 @@ def sensitivity_bounds_suite(seed: int, trials: int) -> list[SuiteResult]:
     rng = random.Random(seed)
     draw = rng.random
     bits = rng.getrandbits
-    prod = math.prod
     worst_margin_f = -math.inf
     ok_f = True
     for _ in range(trials):
         d = bits(4)
         while d >= 9:
             d = bits(4)
-        v = []
-        for _ in range(2 * d):
-            v.append(0.5 * draw())
-        xs, xhat = v[:d], v[d:]
-        eps = max(map(abs, map(operator.sub, xs, xhat))) if d else 0.0
+        xs, xhat = [], []
+        for _ in range(d):
+            xs.append(0.5 * draw())
+        for _ in range(d):
+            xhat.append(0.5 * draw())
+        eps = max(map(abs, map(sub, xs, xhat))) if d else 0.0
         bound = _DANGLING_LIPSCHITZ[d] * eps
         diff = abs(dangling_combine(xhat) - dangling_combine(xs))
         if bound > 0.0 and diff - bound > worst_margin_f:
@@ -206,20 +211,35 @@ def sensitivity_bounds_suite(seed: int, trials: int) -> list[SuiteResult]:
         d2 = bits(4)
         while d2 >= 9:
             d2 = bits(4)
-        # drawn in the order xs, xhat, ys, yhat and, when d1 > 0, zs, zhat
-        v = []
-        for _ in range(2 * d1 + (4 if d1 else 2) * d2):
-            v.append(0.5 * draw())
-        i = 2 * d1 + d2
-        xs, xhat, ys, yhat = v[:d1], v[d1 : 2 * d1], v[2 * d1 : i], v[i : i + d2]
+        # drawn block by block, xs, xhat, ys, yhat and, when d1 > 0, zs, zhat, into
+        # a (plain) and b (hats), each product taken as drawn in math.prod's float order
+        a, b = [], []
+        x = xh = y = yh = z = zh = 1.0
+        for _ in range(d1):
+            a.append(t := 0.5 * draw())
+            x *= t
+        for _ in range(d1):
+            b.append(t := 0.5 * draw())
+            xh *= t
+        for _ in range(d2):
+            a.append(t := 0.5 * draw())
+            y *= t
+        for _ in range(d2):
+            b.append(t := 0.5 * draw())
+            yh *= t
         if d1 == 0:
             # with no edges on the first side, the second and third chains
             # coincide, so their products are coupled
-            zs, zhat = ys, yhat
+            z, zh = y, yh
         else:
-            zs, zhat = v[i + d2 : i + 2 * d2], v[i + 2 * d2 :]
-        eps = max(map(abs, map(operator.sub, xs + ys + zs, xhat + yhat + zhat))) if d1 or d2 else 0.0
-        diff = abs(normal_combine(prod(xhat), prod(yhat), prod(zhat)) - normal_combine(prod(xs), prod(ys), prod(zs)))
+            for _ in range(d2):
+                a.append(t := 0.5 * draw())
+                z *= t
+            for _ in range(d2):
+                b.append(t := 0.5 * draw())
+                zh *= t
+        eps = max(map(abs, map(sub, a, b))) if a else 0.0
+        diff = abs(normal_combine(xh, yh, zh) - normal_combine(x, y, z))
         bound = 3.0 * eps
         if bound > 0.0 and diff - bound > worst_margin_g:
             worst_margin_g = diff - bound

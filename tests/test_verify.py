@@ -9,6 +9,19 @@ from covercount.generate import cycle_graph
 from covercount.graph import Graph, format_graph
 from reference import sensitivity_bounds_suite as randrange_sensitivity_suite
 
+# run_verification(seed=0) at the verify command's defaults, the run perfbench's verify-sweep times
+DEFAULT_RUN_SUITES = [
+    ("decay-bound", True, "worst_err=5.000e-01 bound_at_worst=1.500e+00"),
+    ("decay-bound-dangling-free", True, "worst_err=5.000e-01 bound_at_worst=5.000e-01"),
+    ("half-bound", True, "max_estimate=0.5 min_estimate=0.0"),
+    ("fptas-eps=0.5", True, "worst_rel_err=2.220e-16 allowed=0.5"),
+    ("fptas-eps=0.2", True, "worst_rel_err=2.220e-16 allowed=0.2"),
+    ("fptas-eps=0.1", True, "worst_rel_err=2.220e-16 allowed=0.1"),
+    ("exact-identities", True, "checked=860 violations=0"),
+    ("dangling-combine-sensitivity", True, "trials=20000 worst_margin=-1.214e-05"),
+    ("normal-combine-sensitivity", True, "trials=20000 worst_margin=-1.363e-04"),
+]
+
 
 def test_each_corpus_graph_reaches_the_oracle_once(monkeypatch):
     c4 = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -80,6 +93,10 @@ def test_the_verify_command_defaults_are_run_verifications():
     parsed = {name: getattr(ns, name) for name in params}
     parsed["epsilons"] = tuple(parsed["epsilons"])
     assert parsed == {name: p.default for name, p in params.items()}
+
+
+def test_the_default_run_reproduces_its_recorded_suites():
+    assert [(r.name, r.passed, r.detail) for r in verify.run_verification(seed=0)] == DEFAULT_RUN_SUITES
 
 
 @pytest.mark.parametrize("trials", [0, -5])
