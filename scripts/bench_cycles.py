@@ -8,51 +8,67 @@ complete graphs, and of ``run_verification``, for one or more source trees.
 Each ``--side LABEL=SRC`` names a source tree (a checkout's ``src``),
 recorded as its path and the sha256 of its ``*.py`` files; a label given
 twice, or a run with no side or no instance, is an error before anything
-runs.  Every instance (``cycle<n>``, ``grid<r>x<c>``, ``k<n>`` or
-``verify<seed>``) runs on every side in ``PROCESSES`` fresh interpreters
-per side with that ``src`` on PYTHONPATH, the sides taking turns within
-each instance (the first side leads in even rounds, the last in odd
-ones).  Each process runs ``REPEATS`` timed runs, none traced, and is one
-row with its best wall time.  A graph instance's runs are counts, and
-from those bit-identical counts its row holds the ``depth``, the
-``nodes`` (``ApproxCount.nodes``; a tree without that field gives an
-error row), the ``value_hex`` (``ApproxCount.value.hex()``) and
-``marginals_sha256``, the sha256 of every marginal's ``.hex()`` in chain
-order.  A ``verify<seed>`` instance runs ``run_verification(seed=<seed>)``
-with the ``verify`` command's defaults, and its row holds
-``suites_sha256``, the sha256 of the JSON list of every suite's name,
-pass flag and detail, in their place.  ``ratios`` holds, per instance,
-the median over rounds of each side's best time over the first side's
-best in the same round.  The output records the machine's ``nproc`` and
-the Python version with the rows; after writing it the script exits
-nonzero if a run failed or two sides disagree on ``nodes``,
-``value_hex``, ``marginals_sha256`` or ``suites_sha256`` for the same
-instance.
+runs.  Each side's ``SRC/covercount`` is imported into this interpreter as
+``covercount_side<i>``, ``i`` its position, so a tree must import its own
+modules relatively.  Each instance (``cycle<n>``, ``grid<r>x<c>``, ``k<n>``
+or ``verify<seed>``) runs in ``ROUNDS`` rounds, the first side leading in
+even rounds and the last in odd ones, and a round gives each side one row:
+the best of ``REPEATS`` timed runs, none traced, each after an untimed
+``gc.collect()``.  A graph instance's row holds, from the counts it times,
+the ``depth``, the ``nodes`` (``ApproxCount.nodes``; a tree without it
+gives an error row), the ``value_hex`` and ``marginals_sha256``, the sha256
+of every marginal's ``.hex()`` in chain order.  A ``verify<seed>`` row
+times ``run_verification(seed=<seed>)`` at the ``verify`` defaults and
+holds ``suites_sha256``, the sha256 of the JSON list of every suite's name,
+pass flag and detail.  A side that fails to import gives an error row in
+every round.  ``ratios`` holds, per instance and side, every round's best
+time over the first side's, with their ``q1``, ``median_ratio`` and ``q3``.
+The record holds ``nproc`` and the Python version; after writing it the
+script exits nonzero if a run failed or two sides disagree on ``nodes``,
+``value_hex``, ``marginals_sha256`` or ``suites_sha256`` for an instance.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
+import importlib.util
 import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 import time
+import traceback
 from pathlib import Path
+from types import ModuleType
 
 EPSILON = 0.2
-REPEATS = 5  # timed runs per interpreter, of which the best is kept
-PROCESSES = 5  # fresh interpreters per (side, instance)
+REPEATS = 5  # timed runs per row, of which the best is kept
+ROUNDS = 15  # rows per (side, instance), the sides taking turns
 
 
-def build(instance: str):
-    """The graph an instance name stands for, built in the child interpreter."""
-    from covercount.generate import cycle_graph
-    from covercount.graph import Graph
+def load(src: Path, position: int) -> ModuleType:
+    """``src/covercount`` imported afresh as ``covercount_side<position>`` (a label may hold dots)."""
+    name = f"covercount_side{position}"
+    for key in [key for key in sys.modules if key == name or key.startswith(name + ".")]:
+        del sys.modules[key]
+    init = src / "covercount" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
 
+
+def module(side: ModuleType, name: str) -> ModuleType:
+    return importlib.import_module(f"{side.__name__}.{name}")
+
+
+def build(side: ModuleType, instance: str):
+    """The graph an instance name stands for, built with the side's own code."""
+    cycle_graph, Graph = module(side, "generate").cycle_graph, module(side, "graph").Graph
     name = instance.lower()
     if name.startswith("cycle"):
         return cycle_graph(int(name[5:]))
@@ -67,64 +83,44 @@ def build(instance: str):
     raise ValueError(f"unknown instance {instance!r}; expected cycle<n>, grid<r>x<c>, k<n> or verify<seed>")
 
 
-def best_of(run) -> tuple[object, list[float]]:
-    """The last of ``REPEATS`` timed calls of ``run`` and every call's wall time."""
+def best_of(run, *args, **kwargs) -> tuple[object, list[float]]:
+    """The last of ``REPEATS`` timed calls ``run(*args, **kwargs)`` and every call's wall time."""
     walls = []
     for _ in range(REPEATS):
+        gc.collect()
         start = time.perf_counter()
-        result = run()
+        result = run(*args, **kwargs)
         walls.append(time.perf_counter() - start)
     return result, walls
 
 
-def measure(instance: str) -> dict:
-    """Run inside the child interpreter."""
+def measure(side: ModuleType, instance: str) -> dict:
+    """One row: the side's best of ``REPEATS`` runs of the instance."""
     if instance.lower().startswith("verify"):
-        return measure_verify(instance)
-    from covercount.counter import estimate_count
-
-    g = build(instance)
-    result, walls = best_of(lambda: estimate_count(g, EPSILON))
-    best = min(walls)
+        seed = int(instance[len("verify") :])
+        results, walls = best_of(module(side, "verify").run_verification, seed=seed)
+        suites = json.dumps([[r.name, r.passed, r.detail] for r in results])
+        digest = hashlib.sha256(suites.encode()).hexdigest()
+        return {"seed": seed, "suites_sha256": digest, "best_s": min(walls), "walls_s": walls}
+    g = build(side, instance)
+    result, walls = best_of(module(side, "counter").estimate_count, g, EPSILON)
     return {
-        "instance": instance,
         "n": g.vertex_count,
         "m": g.edge_count,
         "depth": result.depth_used,
         "nodes": result.nodes,
         "value_hex": result.value.hex(),
         "marginals_sha256": hashlib.sha256(" ".join(p.hex() for _, p in result.marginals).encode()).hexdigest(),
-        "best_s": best,
-        "walls_s": walls,
-        "us_per_edge": best / g.edge_count * 1e6,
-        "ns_per_node": best / result.nodes * 1e9,
-    }
-
-
-def measure_verify(instance: str) -> dict:
-    """A ``verify<seed>`` instance, run inside the child interpreter."""
-    from covercount.verify import run_verification
-
-    seed = int(instance[len("verify") :])
-    results, walls = best_of(lambda: run_verification(seed=seed))
-    suites = json.dumps([[r.name, r.passed, r.detail] for r in results])
-    return {
-        "instance": instance,
-        "seed": seed,
-        "suites_sha256": hashlib.sha256(suites.encode()).hexdigest(),
         "best_s": min(walls),
         "walls_s": walls,
+        "us_per_edge": min(walls) / g.edge_count * 1e6,
+        "ns_per_node": min(walls) / result.nodes * 1e9,
     }
 
 
-def run_child(src: Path, instance: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()), PYTHONHASHSEED="0")
-    cmd = [sys.executable, __file__, "--child", instance]
-    proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    if proc.returncode != 0:
-        last = proc.stderr.strip().splitlines()[-1] if proc.stderr.strip() else f"exit {proc.returncode}"
-        return {"instance": instance, "error": last}
-    return json.loads(proc.stdout)
+def error(exc: BaseException) -> str:
+    """The last line of the exception's traceback."""
+    return traceback.format_exception_only(type(exc), exc)[-1].strip()
 
 
 def source_digest(src: Path) -> str:
@@ -137,20 +133,21 @@ def source_digest(src: Path) -> str:
     return digest.hexdigest()
 
 
-def median_ratios(rows: list[dict], base: str) -> list[dict]:
-    """Per instance and side, the median over rounds of its best time over
-    the base side's best in the same round."""
+def round_ratios(rows: list[dict], base: str) -> list[dict]:
+    """Per instance and side, every round's best time over the base side's
+    best in the same round, with the quartiles of those ratios."""
     best = {(row["side"], row["instance"], row["round"]): row["best_s"] for row in rows if "best_s" in row}
     out = []
     for side, instance in dict.fromkeys((side, inst) for side, inst, _ in best if side != base):
         ratios = [
             best[side, instance, r] / best[base, instance, r]
-            for r in range(PROCESSES)
+            for r in range(ROUNDS)
             if (side, instance, r) in best and (base, instance, r) in best
         ]
         if ratios:
-            median = statistics.median(ratios)
-            out.append({"side": side, "base": base, "instance": instance, "median_ratio": median, "ratios": ratios})
+            q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
+            quartiles = {"q1": q1, "median_ratio": median, "q3": q3}
+            out.append({"side": side, "base": base, "instance": instance, **quartiles, "ratios": ratios})
     return out
 
 
@@ -180,42 +177,45 @@ def parse_side(spec: str) -> tuple[str, Path]:
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--side", action="append", type=parse_side, default=[], help="LABEL=SRC")
-    p.add_argument(
-        "--instances", type=lambda s: [tok for tok in s.split(",") if tok], default=[], help="INSTANCE,..."
-    )
+    p.add_argument("--instances", type=lambda s: [tok for tok in s.split(",") if tok], default=[], help="INSTANCE,...")
     p.add_argument("--out", type=Path)
-    p.add_argument("--child", help=argparse.SUPPRESS)
     args = p.parse_args()
 
-    if args.child is not None:
-        print(json.dumps(measure(args.child)))
-        return 0
     if not args.side or not args.instances:
         p.error("a run needs at least one --side and one instance")
     if len(dict(args.side)) < len(args.side):
         p.error("repeated --side label")
 
     sides = {label: {"src": str(src), "sha256": source_digest(src)} for label, src in args.side}
+    loaded = []  # (label, package or the import's error line)
+    for position, (label, src) in enumerate(args.side):
+        try:
+            loaded.append((label, load(src, position)))
+        except Exception as exc:  # the side gets an error row in every round
+            loaded.append((label, error(exc)))
     rows = []
     for instance in args.instances:
-        # PROCESSES rounds that alternate the sides' order: a drift in
-        # machine speed then hits the sides alike
-        for r in range(PROCESSES):
-            for label, src in args.side if r % 2 == 0 else args.side[::-1]:
-                row = {"side": label, "round": r, **run_child(src, instance)}
+        # the leading side alternates, so a drift in machine speed hits the sides alike
+        for r in range(ROUNDS):
+            for label, side in loaded if r % 2 == 0 else loaded[::-1]:
+                try:
+                    row = {"error": side} if isinstance(side, str) else measure(side, instance)
+                except Exception as exc:
+                    row = {"error": error(exc)}
+                row = {"side": label, "round": r, "instance": instance, **row}
                 print(json.dumps(row), file=sys.stderr)
                 rows.append(row)
     record = {
         "what": (
             f"best-of-{REPEATS} wall time of estimate_count(g, {EPSILON}), or of run_verification(seed=<seed>) "
-            f"for verify<seed>, in each of {PROCESSES} fresh interpreters per side and instance"
+            f"for verify<seed>, in each of {ROUNDS} alternating rounds per instance, every side in one interpreter"
         ),
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "machine": platform.machine(),
         "sides": sides,
         "rows": rows,
-        "ratios": median_ratios(rows, args.side[0][0]),
+        "ratios": round_ratios(rows, args.side[0][0]),
     }
     text = json.dumps(record, indent=2) + "\n"
     if args.out is None:

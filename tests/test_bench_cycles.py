@@ -1,8 +1,9 @@
-"""scripts/bench_cycles.py names each side by its source content, counts each
-graph only in the counts it times, times ``run_verification`` for a
-``verify<seed>`` instance, names every instance whose sides disagree, fails
-when a run fails, and refuses a side label given twice or a run that would
-measure nothing."""
+"""scripts/bench_cycles.py names each side by its source content, loads each
+side's tree under its own name and runs that tree's code, times every side in
+alternating rounds, counts each graph only in the counts it times, times
+``run_verification`` for a ``verify<seed>`` instance, names every instance
+whose sides disagree, fails when a run fails, and refuses a side label given
+twice or a run that would measure nothing."""
 
 import hashlib
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SRC = SCRIPTS.parent / "src"
 
 
 @pytest.fixture
@@ -28,6 +30,19 @@ def make_tree(root: Path, estimator: bytes = b"X = 1\n") -> Path:
     (root / "covercount" / "__init__.py").write_bytes(b"")
     (root / "covercount" / "estimator.py").write_bytes(estimator)
     return root
+
+
+def counting_tree(root: Path, counter: str) -> Path:
+    """A tree whose ``cycle_graph`` builds a stand-in graph and whose ``counter.py`` is ``counter``."""
+    tree = make_tree(root)
+    (tree / "covercount" / "graph.py").write_text("Graph = None\n")
+    (tree / "covercount" / "generate.py").write_text(
+        "from types import SimpleNamespace\n\n"
+        "def cycle_graph(n):\n"
+        "    return SimpleNamespace(vertex_count=n, edge_count=n)\n"
+    )
+    (tree / "covercount" / "counter.py").write_text(counter)
+    return tree
 
 
 def test_byte_identical_trees_get_one_digest(bench, tmp_path):
@@ -66,18 +81,18 @@ def test_disagreements_name_instances_whose_nodes_or_values_differ(bench):
 
 
 def test_a_verify_row_runs_the_command_defaults_and_digests_every_suite(bench, monkeypatch):
-    import covercount.verify
-    from covercount.verify import SuiteResult
-
+    side = bench.load(SRC, 0)
+    verify = bench.module(side, "verify")
     calls = []
+    SuiteResult = verify.SuiteResult
     results = [SuiteResult("decay-bound", True, "worst_err=1.0e-01"), SuiteResult("fptas-eps=0.5", False, "x")]
 
     def run_verification(**kwargs):
         calls.append(kwargs)
         return results
 
-    monkeypatch.setattr(covercount.verify, "run_verification", run_verification)
-    row = bench.measure("verify712")
+    monkeypatch.setattr(verify, "run_verification", run_verification)
+    row = bench.measure(side, "verify712")
 
     # the verify command's defaults are run_verification's own (tests/test_verify.py)
     assert calls == [{"seed": 712}] * bench.REPEATS
@@ -96,50 +111,44 @@ def test_disagreements_name_verify_instances_whose_suites_differ(bench):
 
 
 def test_a_row_records_the_digest_of_its_marginals_in_chain_order(bench, monkeypatch):
-    from covercount.counter import estimate_count
+    from covercount import counter, generate
 
     monkeypatch.setattr(bench, "REPEATS", 1)
-    row = bench.measure("cycle7")
-    text = " ".join(p.hex() for _, p in estimate_count(bench.build("cycle7"), bench.EPSILON).marginals)
+    row = bench.measure(bench.load(SRC, 0), "cycle7")
+    text = " ".join(p.hex() for _, p in counter.estimate_count(generate.cycle_graph(7), bench.EPSILON).marginals)
     assert row["marginals_sha256"] == hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_a_child_runs_only_its_timed_counts_and_traces_none(bench, monkeypatch):
-    import covercount.counter
-
-    real = covercount.counter.estimate_count
+def test_a_row_runs_only_its_timed_counts_and_traces_none(bench, monkeypatch):
+    side = bench.load(SRC, 0)
+    counter = bench.module(side, "counter")
+    real = counter.estimate_count
     hooks = []
 
     def counted(g, eps, on_node=None):
         hooks.append(on_node)
         return real(g, eps, on_node)
 
-    monkeypatch.setattr(covercount.counter, "estimate_count", counted)
-    bench.measure("cycle7")
+    monkeypatch.setattr(counter, "estimate_count", counted)
+    bench.measure(side, "cycle7")
     assert hooks == [None] * bench.REPEATS
 
 
 @pytest.mark.parametrize("instance", ["cycle7", "k5"])
 def test_a_rows_nodes_are_the_counts_own_and_the_node_streams_length(bench, monkeypatch, instance):
-    from covercount.counter import estimate_count
-
+    side = bench.load(SRC, 0)
     monkeypatch.setattr(bench, "REPEATS", 1)
-    row = bench.measure(instance)
+    row = bench.measure(side, instance)
     stream = []
-    result = estimate_count(bench.build(instance), bench.EPSILON, on_node=lambda *node: stream.append(node))
+    g = bench.build(side, instance)
+    result = bench.module(side, "counter").estimate_count(g, bench.EPSILON, on_node=lambda *node: stream.append(node))
     assert row["nodes"] == result.nodes == len(stream) > 0
 
 
-def test_a_side_whose_count_has_no_nodes_gives_error_rows_and_exit_1(tmp_path):
+def test_a_side_whose_count_has_no_nodes_gives_error_rows_and_exit_1(bench, tmp_path):
     # a tree whose ApproxCount predates the recursion counting its own nodes
-    old = make_tree(tmp_path / "old")
-    (old / "covercount" / "graph.py").write_text("Graph = None\n")
-    (old / "covercount" / "generate.py").write_text(
-        "from types import SimpleNamespace\n\n"
-        "def cycle_graph(n):\n"
-        "    return SimpleNamespace(vertex_count=n, edge_count=n)\n"
-    )
-    (old / "covercount" / "counter.py").write_text(
+    old = counting_tree(
+        tmp_path / "old",
         "from typing import NamedTuple\n\n"
         "class ApproxCount(NamedTuple):\n"
         "    value: float\n"
@@ -155,10 +164,11 @@ def test_a_side_whose_count_has_no_nodes_gives_error_rows_and_exit_1(tmp_path):
 
     assert proc.returncode == 1, proc.stderr
     rows = json.loads(out.read_text())["rows"]
-    assert [row["error"] for row in rows] == ["AttributeError: 'ApproxCount' object has no attribute 'nodes'"] * 5
+    message = "AttributeError: 'ApproxCount' object has no attribute 'nodes'"
+    assert [row["error"] for row in rows] == [message] * bench.ROUNDS
 
 
-def test_failed_runs_make_the_exit_nonzero_after_the_record(tmp_path):
+def test_failed_runs_make_the_exit_nonzero_after_the_record(bench, tmp_path):
     broken = make_tree(tmp_path / "broken")
     (broken / "covercount" / "__init__.py").write_text("raise ImportError('broken on purpose')\n")
     out = tmp_path / "record.json"
@@ -167,7 +177,7 @@ def test_failed_runs_make_the_exit_nonzero_after_the_record(tmp_path):
 
     assert proc.returncode == 1, proc.stderr
     record = json.loads(out.read_text())
-    assert [row["error"] for row in record["rows"]] == ["ImportError: broken on purpose"] * 5
+    assert [row["error"] for row in record["rows"]] == ["ImportError: broken on purpose"] * bench.ROUNDS
     assert record["ratios"] == []
 
 
@@ -200,3 +210,49 @@ def test_a_run_that_measures_nothing_fails_before_any_run(tmp_path, argv):
     assert proc.stdout == ""
     assert proc.stderr.splitlines()[-1].endswith("error: a run needs at least one --side and one instance")
     assert not out.exists()
+
+
+
+# a counter whose every count reports the given number of nodes
+COUNTER = (
+    "from types import SimpleNamespace\n\n"
+    "def estimate_count(g, eps, on_node=None):\n"
+    "    return SimpleNamespace(value=1.0, depth_used=1, nodes={}, marginals=())\n"
+)
+
+
+def test_each_side_runs_its_own_tree_and_the_callers_covercount_is_untouched(bench, monkeypatch, tmp_path, capsys):
+    import covercount.counter
+
+    own = {name: mod for name, mod in sys.modules.items() if name.split(".")[0] == "covercount"}
+    a, b = counting_tree(tmp_path / "a", COUNTER.format(3)), counting_tree(tmp_path / "b", COUNTER.format(4))
+    out = tmp_path / "record.json"
+    argv = ["bench_cycles.py", "--side", f"a.1={a}", "--side", f"b.2={b}", "--instances", "cycle5", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+
+    assert bench.main() == 1
+    assert {name: mod for name, mod in sys.modules.items() if name.split(".")[0] == "covercount"} == own
+    assert sys.modules["covercount.counter"] is covercount.counter
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert line.startswith("sides disagree on cycle5: nodes=3 value=0x1.0000000000000p+0 marginals=")
+    assert "from ['a.1']; nodes=4 " in line and line.endswith("from ['b.2']")
+    # each side is named by its position, since a label may hold dots
+    assert sys.modules["covercount_side1"].__file__ == str(b / "covercount" / "__init__.py")
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 2 * bench.ROUNDS and {row["nodes"] for row in rows if row["side"] == "b.2"} == {4}
+
+
+def test_the_sides_take_turns_leading_and_every_rounds_ratio_is_kept(bench, monkeypatch, tmp_path):
+    out = tmp_path / "record.json"
+    argv = ["bench_cycles.py", "--side", f"a={SRC}", "--side", f"b={SRC}", "--instances", "cycle7", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+
+    assert bench.main() == 0
+    record = json.loads(out.read_text())
+    [entry] = record["ratios"]
+    assert (entry["side"], entry["base"], entry["instance"]) == ("b", "a", "cycle7")
+    assert len(entry["ratios"]) == bench.ROUNDS
+    assert entry["q1"] <= entry["median_ratio"] <= entry["q3"]
+    rows = record["rows"]
+    assert [row["round"] for row in rows] == [r for r in range(bench.ROUNDS) for _ in "ab"]
+    assert [row["side"] for row in rows[::2]] == ["a" if r % 2 == 0 else "b" for r in range(bench.ROUNDS)]
