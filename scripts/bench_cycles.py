@@ -1,5 +1,5 @@
-"""Best-of-5 wall time of ``estimate_count`` at eps 0.2 on cycles, grids and
-complete graphs, and of ``run_verification``, for one or more source trees.
+"""Wall time of ``estimate_count`` at eps 0.2 on cycles, grids and complete
+graphs, and of ``run_verification``, for one or more source trees.
 
     python scripts/bench_cycles.py --out BENCH_flat_workspace.json \\
         --side parent=../parent/src --side change=src \\
@@ -11,20 +11,22 @@ twice, or a run with no side or no instance, is an error before anything
 runs.  Each side's ``SRC/covercount`` is imported into this interpreter as
 ``covercount_side<i>``, ``i`` its position, so a tree must import its own
 modules relatively.  Each instance (``cycle<n>``, ``grid<r>x<c>``, ``k<n>``
-or ``verify<seed>``) runs in ``ROUNDS`` rounds, the first side leading in
-even rounds and the last in odd ones, and a round gives each side one row:
-the best of ``REPEATS`` timed runs, none traced, each after an untimed
-``gc.collect()``.  A graph instance's row holds, from the counts it times,
-the ``depth``, the ``nodes`` (``ApproxCount.nodes``; a tree without it
-gives an error row), the ``value_hex`` and ``marginals_sha256``, the sha256
-of every marginal's ``.hex()`` in chain order.  A ``verify<seed>`` row
-times ``run_verification(seed=<seed>)`` at the ``verify`` defaults and
-holds ``suites_sha256``, the sha256 of the JSON list of every suite's name,
-pass flag and detail.  A side that fails to import gives an error row in
-every round.  ``ratios`` holds, per instance and side, every round's best
-time over the first side's, with their ``q1``, ``median_ratio`` and ``q3``.
-The record holds ``nproc`` and the Python version; after writing it the
-script exits nonzero if a run failed or two sides disagree on ``nodes``,
+or ``verify<seed>``) runs in ``ROUNDS`` rounds.  A round is one run per
+side, back to back, the first side leading in even rounds and the last in
+odd ones, and each run is one row: one untraced call, timed after an
+untimed ``gc.collect()``, with the side's function looked up before it.
+A graph instance's row holds, from the count it times, the ``depth``, the
+``nodes`` (``ApproxCount.nodes``; a tree without it gives an error row),
+the ``value_hex`` and ``marginals_sha256``, the sha256 of every marginal's
+``.hex()`` in chain order, with ``wall_s`` and the ``us_per_edge`` and
+``ns_per_node`` it gives.  A ``verify<seed>`` row times
+``run_verification(seed=<seed>)`` at the ``verify`` defaults and holds
+``suites_sha256``, the sha256 of the JSON list of every suite's name, pass
+flag and detail.  A side that fails to import gives an error row in every
+round.  ``ratios`` holds, per instance and side, every round's time over
+the first side's, with their ``q1``, ``median_ratio`` and ``q3``.  The
+record holds ``nproc`` and the Python version; after writing it the script
+exits nonzero if a run failed or two sides disagree on ``nodes``,
 ``value_hex``, ``marginals_sha256`` or ``suites_sha256`` for an instance.
 """
 
@@ -45,8 +47,7 @@ from pathlib import Path
 from types import ModuleType
 
 EPSILON = 0.2
-REPEATS = 5  # timed runs per row, of which the best is kept
-ROUNDS = 15  # rows per (side, instance), the sides taking turns
+ROUNDS = 75  # rows per (side, instance): one run each, the sides back to back
 
 
 def load(src: Path, position: int) -> ModuleType:
@@ -83,27 +84,24 @@ def build(side: ModuleType, instance: str):
     raise ValueError(f"unknown instance {instance!r}; expected cycle<n>, grid<r>x<c>, k<n> or verify<seed>")
 
 
-def best_of(run, *args, **kwargs) -> tuple[object, list[float]]:
-    """The last of ``REPEATS`` timed calls ``run(*args, **kwargs)`` and every call's wall time."""
-    walls = []
-    for _ in range(REPEATS):
-        gc.collect()
-        start = time.perf_counter()
-        result = run(*args, **kwargs)
-        walls.append(time.perf_counter() - start)
-    return result, walls
+def timed(run, *args, **kwargs) -> tuple[object, float]:
+    """``run(*args, **kwargs)`` and its wall time, after an untimed ``gc.collect()``."""
+    gc.collect()
+    start = time.perf_counter()
+    result = run(*args, **kwargs)
+    return result, time.perf_counter() - start
 
 
 def measure(side: ModuleType, instance: str) -> dict:
-    """One row: the side's best of ``REPEATS`` runs of the instance."""
+    """One row: one timed run of the instance on the side."""
     if instance.lower().startswith("verify"):
         seed = int(instance[len("verify") :])
-        results, walls = best_of(module(side, "verify").run_verification, seed=seed)
+        results, wall = timed(module(side, "verify").run_verification, seed=seed)
         suites = json.dumps([[r.name, r.passed, r.detail] for r in results])
         digest = hashlib.sha256(suites.encode()).hexdigest()
-        return {"seed": seed, "suites_sha256": digest, "best_s": min(walls), "walls_s": walls}
+        return {"seed": seed, "suites_sha256": digest, "wall_s": wall}
     g = build(side, instance)
-    result, walls = best_of(module(side, "counter").estimate_count, g, EPSILON)
+    result, wall = timed(module(side, "counter").estimate_count, g, EPSILON)
     return {
         "n": g.vertex_count,
         "m": g.edge_count,
@@ -111,10 +109,9 @@ def measure(side: ModuleType, instance: str) -> dict:
         "nodes": result.nodes,
         "value_hex": result.value.hex(),
         "marginals_sha256": hashlib.sha256(" ".join(p.hex() for _, p in result.marginals).encode()).hexdigest(),
-        "best_s": min(walls),
-        "walls_s": walls,
-        "us_per_edge": min(walls) / g.edge_count * 1e6,
-        "ns_per_node": min(walls) / result.nodes * 1e9,
+        "wall_s": wall,
+        "us_per_edge": wall / g.edge_count * 1e6,
+        "ns_per_node": wall / result.nodes * 1e9,
     }
 
 
@@ -134,15 +131,15 @@ def source_digest(src: Path) -> str:
 
 
 def round_ratios(rows: list[dict], base: str) -> list[dict]:
-    """Per instance and side, every round's best time over the base side's
-    best in the same round, with the quartiles of those ratios."""
-    best = {(row["side"], row["instance"], row["round"]): row["best_s"] for row in rows if "best_s" in row}
+    """Per instance and side, every round's time over the base side's time in
+    the same round, with the quartiles of those ratios."""
+    wall = {(row["side"], row["instance"], row["round"]): row["wall_s"] for row in rows if "wall_s" in row}
     out = []
-    for side, instance in dict.fromkeys((side, inst) for side, inst, _ in best if side != base):
+    for side, instance in dict.fromkeys((side, inst) for side, inst, _ in wall if side != base):
         ratios = [
-            best[side, instance, r] / best[base, instance, r]
+            wall[side, instance, r] / wall[base, instance, r]
             for r in range(ROUNDS)
-            if (side, instance, r) in best and (base, instance, r) in best
+            if (side, instance, r) in wall and (base, instance, r) in wall
         ]
         if ratios:
             q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
@@ -195,7 +192,8 @@ def main() -> int:
             loaded.append((label, error(exc)))
     rows = []
     for instance in args.instances:
-        # the leading side alternates, so a drift in machine speed hits the sides alike
+        # a round is one run per side, back to back, the leader alternating,
+        # so a burst of host load or a drift in machine speed hits the sides alike
         for r in range(ROUNDS):
             for label, side in loaded if r % 2 == 0 else loaded[::-1]:
                 try:
@@ -207,8 +205,8 @@ def main() -> int:
                 rows.append(row)
     record = {
         "what": (
-            f"best-of-{REPEATS} wall time of estimate_count(g, {EPSILON}), or of run_verification(seed=<seed>) "
-            f"for verify<seed>, in each of {ROUNDS} alternating rounds per instance, every side in one interpreter"
+            f"wall time of one run of estimate_count(g, {EPSILON}), or of run_verification(seed=<seed>) for "
+            f"verify<seed>, per side in each of {ROUNDS} rounds per instance, the sides back to back in one interpreter"
         ),
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),

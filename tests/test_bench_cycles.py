@@ -1,6 +1,6 @@
 """scripts/bench_cycles.py names each side by its source content, loads each
-side's tree under its own name and runs that tree's code, times every side in
-alternating rounds, counts each graph only in the counts it times, times
+side's tree under its own name and runs that tree's code, times one run per
+side per round, back to back, counts each graph only in the count it times, times
 ``run_verification`` for a ``verify<seed>`` instance, names every instance
 whose sides disagree, fails when a run fails, and refuses a side label given
 twice or a run that would measure nothing."""
@@ -10,6 +10,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -95,10 +96,10 @@ def test_a_verify_row_runs_the_command_defaults_and_digests_every_suite(bench, m
     row = bench.measure(side, "verify712")
 
     # the verify command's defaults are run_verification's own (tests/test_verify.py)
-    assert calls == [{"seed": 712}] * bench.REPEATS
+    assert calls == [{"seed": 712}]
     text = '[["decay-bound", true, "worst_err=1.0e-01"], ["fptas-eps=0.5", false, "x"]]'
     assert row["suites_sha256"] == hashlib.sha256(text.encode()).hexdigest()
-    assert row["seed"] == 712 and len(row["walls_s"]) == bench.REPEATS and row["best_s"] == min(row["walls_s"])
+    assert row["seed"] == 712 and isinstance(row["wall_s"], float) and row["wall_s"] >= 0
     assert not {"nodes", "value_hex", "marginals_sha256"} & set(row)
 
 
@@ -110,10 +111,9 @@ def test_disagreements_name_verify_instances_whose_suites_differ(bench):
     assert bench.disagreements(rows) == ["verify3: suites=aa from ['parent']; suites=bb from ['change']"]
 
 
-def test_a_row_records_the_digest_of_its_marginals_in_chain_order(bench, monkeypatch):
+def test_a_row_records_the_digest_of_its_marginals_in_chain_order(bench):
     from covercount import counter, generate
 
-    monkeypatch.setattr(bench, "REPEATS", 1)
     row = bench.measure(bench.load(SRC, 0), "cycle7")
     text = " ".join(p.hex() for _, p in counter.estimate_count(generate.cycle_graph(7), bench.EPSILON).marginals)
     assert row["marginals_sha256"] == hashlib.sha256(text.encode()).hexdigest()
@@ -131,13 +131,12 @@ def test_a_row_runs_only_its_timed_counts_and_traces_none(bench, monkeypatch):
 
     monkeypatch.setattr(counter, "estimate_count", counted)
     bench.measure(side, "cycle7")
-    assert hooks == [None] * bench.REPEATS
+    assert hooks == [None]
 
 
 @pytest.mark.parametrize("instance", ["cycle7", "k5"])
-def test_a_rows_nodes_are_the_counts_own_and_the_node_streams_length(bench, monkeypatch, instance):
+def test_a_rows_nodes_are_the_counts_own_and_the_node_streams_length(bench, instance):
     side = bench.load(SRC, 0)
-    monkeypatch.setattr(bench, "REPEATS", 1)
     row = bench.measure(side, instance)
     stream = []
     g = bench.build(side, instance)
@@ -229,6 +228,7 @@ def test_each_side_runs_its_own_tree_and_the_callers_covercount_is_untouched(ben
     out = tmp_path / "record.json"
     argv = ["bench_cycles.py", "--side", f"a.1={a}", "--side", f"b.2={b}", "--instances", "cycle5", "--out", str(out)]
     monkeypatch.setattr(sys, "argv", argv)
+    monkeypatch.setattr(bench, "ROUNDS", 4)  # even, so each side leads twice
 
     assert bench.main() == 1
     assert {name: mod for name, mod in sys.modules.items() if name.split(".")[0] == "covercount"} == own
@@ -246,6 +246,7 @@ def test_the_sides_take_turns_leading_and_every_rounds_ratio_is_kept(bench, monk
     out = tmp_path / "record.json"
     argv = ["bench_cycles.py", "--side", f"a={SRC}", "--side", f"b={SRC}", "--instances", "cycle7", "--out", str(out)]
     monkeypatch.setattr(sys, "argv", argv)
+    monkeypatch.setattr(bench, "ROUNDS", 4)  # even, so each side leads twice
 
     assert bench.main() == 0
     record = json.loads(out.read_text())
@@ -256,3 +257,27 @@ def test_the_sides_take_turns_leading_and_every_rounds_ratio_is_kept(bench, monk
     rows = record["rows"]
     assert [row["round"] for row in rows] == [r for r in range(bench.ROUNDS) for _ in "ab"]
     assert [row["side"] for row in rows[::2]] == ["a" if r % 2 == 0 else "b" for r in range(bench.ROUNDS)]
+
+
+def test_a_round_is_one_run_per_side_back_to_back(bench, monkeypatch, tmp_path):
+    # each tree's count appends its label to a list both trees import
+    shared = ModuleType("bench_order")
+    shared.calls = []
+    monkeypatch.setitem(sys.modules, "bench_order", shared)
+    counter = (
+        "import bench_order\n"
+        "from types import SimpleNamespace\n\n"
+        "def estimate_count(g, eps, on_node=None):\n"
+        "    bench_order.calls.append({!r})\n"
+        "    return SimpleNamespace(value=1.0, depth_used=1, nodes=1, marginals=())\n"
+    )
+    a, b = counting_tree(tmp_path / "a", counter.format("a")), counting_tree(tmp_path / "b", counter.format("b"))
+    out = tmp_path / "record.json"
+    argv = ["bench_cycles.py", "--side", f"a={a}", "--side", f"b={b}", "--instances", "cycle5", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    monkeypatch.setattr(bench, "ROUNDS", 4)
+
+    assert bench.main() == 0
+    assert " ".join(shared.calls) == "a b b a a b b a"
+    rows = json.loads(out.read_text())["rows"]
+    assert all(row["ns_per_node"] == row["wall_s"] / row["nodes"] * 1e9 for row in rows)
