@@ -24,7 +24,7 @@ from .counter import depth_for, estimate_count
 from .estimator import estimate_marginal
 from .generate import cycle_graph, random_multigraph, star_graph
 from .graph import EdgeKind, Graph, parse_graph
-from .oracle import DEFAULT_FRONTIER_CAP, exact_count, exact_marginal
+from .oracle import DEFAULT_FRONTIER_CAP, NoEdgeCoverError, exact_count, exact_marginal
 from .verify import run_verification
 
 _KIND_CHAR = {EdgeKind.NORMAL: "N", EdgeKind.DANGLING: "D", EdgeKind.FREE: "F"}
@@ -32,7 +32,7 @@ DEFAULT_MARGINAL_EPSILON = 0.1
 
 
 def _load_graph(path: str) -> Graph:
-    return parse_graph(Path(path).read_text())
+    return parse_graph(Path(path).read_text(encoding="utf-8"))
 
 
 def _emit(payload: dict) -> None:
@@ -68,6 +68,8 @@ def cmd_count(args) -> int:
 
 def cmd_marginal(args) -> int:
     g = _load_graph(args.graph)
+    if g.has_isolated_vertex():
+        raise NoEdgeCoverError("graph has no edge covers; marginal undefined")
     if args.depth is not None:
         depth = args.depth
     else:
@@ -87,7 +89,7 @@ def cmd_marginal(args) -> int:
 
 
 def cmd_from_cnf(args) -> int:
-    phi = parse_cnf(Path(args.cnf).read_text())
+    phi = parse_cnf(Path(args.cnf).read_text(encoding="utf-8"))
     g = to_graph(phi)
     payload = _count_payload(g, args.epsilon)
     payload["vars"] = phi.num_vars

@@ -51,21 +51,17 @@ def depth_for(m: int, eps: float) -> int:
 def elimination_chain(g: Graph) -> list[tuple[Graph, int]]:
     """(working graph, edge) pairs in ascending edge-id order.
 
-    The first working graph is g itself; each later one drops the
-    previous edge and detaches its remaining endpoints (one for a
-    dangling edge, none for a free one).  This is the reference form of
-    the conditioning: ``estimate_count`` does not build it, but gets the
-    same marginals by conditioning one workspace in place.  It costs
-    O(m * (n + m)) for the m graph copies.
+    The first working graph is g itself; each later one is the previous
+    one conditioned on its edge (``Graph.condition``).  This is the
+    reference form of the conditioning: ``estimate_count`` does not build
+    it, but gets the same marginals by conditioning one workspace in
+    place.  It costs O(m * (n + m)) for the m graph copies.
     """
     out = []
     cur = g
     for e in g.edge_ids:
         out.append((cur, e))
-        ends = cur.endpoints(e)
-        cur = cur.remove_edge(e)
-        for v in ends:
-            cur = cur.detach_vertex(v)
+        cur = cur.condition(e)
     return out
 
 

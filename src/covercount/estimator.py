@@ -177,7 +177,7 @@ class _Workspace:
         return [u for u in self.ends[e] if vert_live[u]]
 
     def condition(self, e: int) -> None:
-        """Put edge number e into the cover for good: drop it and detach its endpoints."""
+        """Put edge number e into the cover for good, the live twin of ``Graph.condition``."""
         self.edge_live[e] = False
         for u in self.ends[e]:
             self.vert_live[u] = False

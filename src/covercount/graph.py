@@ -4,11 +4,11 @@ An edge carries zero, one, or two endpoint vertices: a normal edge has
 two, a dangling edge one, a free edge none.  Parallel edges (same
 endpoint pair, distinct ids) are allowed; self-loops are rejected.
 
-Graphs are immutable: ``remove_edge`` and ``detach_vertex`` return new
-graphs and leave the original intact.  Their users are the oracle's
-marginal (``|EC(g - e)|``), ``verify``'s edge-deleted counts and identities,
-``counter.elimination_chain`` and the persistent-graph reference
-recursion of the tests; the estimator itself never builds a subgraph.
+Graphs are immutable: ``remove_edge`` and ``condition`` return new graphs
+and leave the original intact.  ``condition`` puts an edge into the cover,
+the paper's one step on a graph, for ``counter.elimination_chain``, the
+split identity of ``verify`` and the tests' reference recursion; the
+estimator never builds a subgraph, and ``_Workspace.condition`` is its twin.
 """
 
 from __future__ import annotations
@@ -147,14 +147,17 @@ class Graph:
             adj[u] = tuple(x for x in adj[u] if x != e)
         return Graph._raw(edges, adj)
 
-    def detach_vertex(self, u: int) -> "Graph":
-        """The graph with u removed and each incident edge keeping its id
-        but losing that endpoint slot (normal -> dangling, dangling -> free)."""
-        incident = self.incident_edges(u)
+    def condition(self, e: int) -> "Graph":
+        """The graph with e put into the cover: e deleted, its endpoints removed, and
+        every other edge at them keeping its id but losing that end (normal -> dangling -> free)."""
+        ends = self.endpoints(e)
         edges = dict(self._edges)
-        for e in incident:
-            edges[e] = tuple(w for w in edges[e] if w != u)
-        adj = {v: ids for v, ids in self._adj.items() if v != u}
+        del edges[e]
+        adj = dict(self._adj)
+        for u in ends:
+            for x in adj.pop(u):
+                if x != e:
+                    edges[x] = tuple(w for w in edges[x] if w != u)
         return Graph._raw(edges, adj)
 
     # -- dunder ----------------------------------------------------------------

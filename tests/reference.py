@@ -44,16 +44,16 @@ def depth_discount(depth: int, d: int) -> int:
 def dangling_subinstances(g: Graph, e: int) -> list[tuple[Graph, int]]:
     """Chain of (subgraph, sibling edge) pairs for a dangling edge e at u.
 
-    The first subgraph detaches u after dropping e; each later one
-    additionally drops the previous sibling.  Every sibling is dangling
-    or free in its subgraph, never normal, since all of them lost the
-    endpoint u.
+    The first subgraph is g conditioned on e (e dropped, u detached); each
+    later one additionally drops the previous sibling.  Every sibling is
+    dangling or free in its subgraph, never normal, since all of them lost
+    the endpoint u.
     """
     if g.classify(e) is not EdgeKind.DANGLING:
         raise ValueError(f"edge {e} is not dangling")
     (u,) = g.endpoints(e)
     others = [x for x in g.incident_edges(u) if x != e]
-    cur = g.remove_edge(e).detach_vertex(u)
+    cur = g.condition(e)
     out = []
     for child in others:
         out.append((cur, child))
@@ -66,19 +66,20 @@ def normal_subinstances(
 ) -> tuple[list[tuple[Graph, int]], list[tuple[Graph, int]], list[tuple[Graph, int]]]:
     """The three chain families feeding the X, Y, Z products for normal e.
 
-    All start from the core graph with e dropped and both endpoints
-    detached.  The first family walks u's other edges, the third walks
-    v's other edges, and the second walks v's other edges after u's have
-    all been dropped.  A parallel copy of e sits in both endpoint lists;
-    it shows up in the first and third families, and the second family
-    skips it because it is already conditioned away (its factor is 1).
+    All start from the core graph, g conditioned on e (e dropped, both
+    endpoints detached).  The first family walks u's other edges, the
+    third walks v's other edges, and the second walks v's other edges
+    after u's have all been dropped.  A parallel copy of e sits in both
+    endpoint lists; it shows up in the first and third families, and the
+    second family skips it because it is already conditioned away (its
+    factor is 1).
     """
     if g.classify(e) is not EdgeKind.NORMAL:
         raise ValueError(f"edge {e} is not normal")
     u, v = g.endpoints(e)
     at_u = [x for x in g.incident_edges(u) if x != e]
     at_v = [x for x in g.incident_edges(v) if x != e]
-    core = g.remove_edge(e).detach_vertex(u).detach_vertex(v)
+    core = g.condition(e)
 
     first = []
     cur = core

@@ -259,8 +259,9 @@ def test_the_sides_take_turns_leading_and_every_rounds_ratio_is_kept(bench, monk
     assert [row["side"] for row in rows[::2]] == ["a" if r % 2 == 0 else "b" for r in range(bench.ROUNDS)]
 
 
-def test_a_round_is_one_run_per_side_back_to_back(bench, monkeypatch, tmp_path):
-    # each tree's count appends its label to a list both trees import
+def recording_sides(monkeypatch, tmp_path, labels: str) -> tuple[list, list]:
+    """One tree per label whose count appends the label to a list all of them import:
+    that list, and the ``--side`` arguments naming the trees."""
     shared = ModuleType("bench_order")
     shared.calls = []
     monkeypatch.setitem(sys.modules, "bench_order", shared)
@@ -271,13 +272,36 @@ def test_a_round_is_one_run_per_side_back_to_back(bench, monkeypatch, tmp_path):
         "    bench_order.calls.append({!r})\n"
         "    return SimpleNamespace(value=1.0, depth_used=1, nodes=1, marginals=())\n"
     )
-    a, b = counting_tree(tmp_path / "a", counter.format("a")), counting_tree(tmp_path / "b", counter.format("b"))
+    argv = []
+    for label in labels:
+        argv += ["--side", f"{label}={counting_tree(tmp_path / label, counter.format(label))}"]
+    return shared.calls, argv
+
+
+def test_a_round_is_one_run_per_side_back_to_back(bench, monkeypatch, tmp_path):
+    calls, sides = recording_sides(monkeypatch, tmp_path, "ab")
     out = tmp_path / "record.json"
-    argv = ["bench_cycles.py", "--side", f"a={a}", "--side", f"b={b}", "--instances", "cycle5", "--out", str(out)]
-    monkeypatch.setattr(sys, "argv", argv)
+    monkeypatch.setattr(sys, "argv", ["bench_cycles.py", *sides, "--instances", "cycle5", "--out", str(out)])
     monkeypatch.setattr(bench, "ROUNDS", 4)
 
     assert bench.main() == 0
-    assert " ".join(shared.calls) == "a b b a a b b a"
+    assert " ".join(calls) == "a b b a a b b a"
     rows = json.loads(out.read_text())["rows"]
     assert all(row["ns_per_node"] == row["wall_s"] / row["nodes"] * 1e9 for row in rows)
+
+
+def test_three_sides_run_in_turn_and_both_later_sides_get_ratios(bench, monkeypatch, tmp_path):
+    # an A/A side beside the change: its ratios are the record's own noise floor
+    calls, sides = recording_sides(monkeypatch, tmp_path, "abc")
+    out = tmp_path / "record.json"
+    monkeypatch.setattr(sys, "argv", ["bench_cycles.py", *sides, "--instances", "cycle5", "--out", str(out)])
+    monkeypatch.setattr(bench, "ROUNDS", 4)
+
+    assert bench.main() == 0
+    assert " ".join(calls) == "a b c c b a a b c c b a"
+    ratios = json.loads(out.read_text())["ratios"]
+    assert [(entry["side"], entry["base"], entry["instance"]) for entry in ratios] == [
+        ("b", "a", "cycle5"),
+        ("c", "a", "cycle5"),
+    ]
+    assert all(len(entry["ratios"]) == bench.ROUNDS for entry in ratios)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from decimal import Decimal
@@ -224,6 +225,16 @@ class TestMarginal:
         assert out == ""
         assert "unknown edge" in err
 
+    @pytest.mark.parametrize("flag", [[], ["--exact"], ["--trace"]], ids=["estimate", "exact", "trace"])
+    def test_a_graph_with_no_edge_cover_is_a_one_line_error(self, capsys, tmp_path, flag):
+        # vertex 2 has no edge, so there is no cover to take a marginal over
+        path = tmp_path / "isolated.graph"
+        path.write_text("v 0\nv 1\nv 2\ne 0 0 1\n")
+        code, out, err = run_cli(capsys, "marginal", str(path), "--edge", "0", *flag)
+        assert code == 1
+        assert out == ""
+        assert err == "error: graph has no edge covers; marginal undefined\n"
+
 
 class TestFromCnf:
     def test_example(self, capsys, tmp_path):
@@ -422,6 +433,29 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith(f"error: {message}")
         assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, name, text",
+    [
+        (["count", "--epsilon", "0.2"], "c4.graph", "# café\n" + C4_TEXT),
+        (["from-cnf", "--epsilon", "0.2"], "f.cnf", "c café\n" + CNF_TEXT),
+    ],
+    ids=["count", "from-cnf"],
+)
+def test_utf8_files_read_under_an_ascii_locale(capsys, tmp_path, command, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "covercount", command[0], str(path), *command[1:]],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert (0, proc.stdout, "") == run_cli(capsys, command[0], str(path), *command[1:])
 
 
 def test_module_entry_point(tmp_path):

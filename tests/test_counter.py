@@ -201,13 +201,14 @@ class TestSharedWorkspace:
         mismatched = []
         for seed in range(3000):
             g = random_multigraph(seed, max_edges=14)
+            steps = elimination_chain(g)  # the same at every eps
             for eps in (0.5, 0.2, 0.1):
                 shared_nodes, chain_nodes = [], []
                 result = estimate_count(g, eps, on_node=lambda *a: shared_nodes.append(a))
                 depth = result.depth_used
                 chain = tuple(
                     (e, estimate_marginal(h, e, depth, on_node=lambda *a: chain_nodes.append(a)))
-                    for h, e in elimination_chain(g)
+                    for h, e in steps
                 )
                 if result.marginals != chain or shared_nodes != chain_nodes or result.nodes != len(shared_nodes):
                     mismatched.append((seed, eps))

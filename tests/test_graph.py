@@ -54,29 +54,43 @@ class TestRemoveEdge:
             fig1a().remove_edge(7)
 
 
-class TestDetachVertex:
-    def test_chain_leaves_two_disjoint_dangling_edges(self):
-        g = fig1a().remove_edge(0).detach_vertex(0)
+class TestCondition:
+    def test_normal_edge_leaves_its_endpoints_edges_dangling_or_free(self):
+        # edge 1 dangles at 0, edge 2 joins 1 and 2
+        g = Graph.from_edges([(0, 1), (0,), (1, 2)]).condition(0)
+        assert g.edge_ids == (1, 2)
+        assert g.classify(1) is EdgeKind.FREE
+        assert g.endpoints(2) == (2,)
+        assert g.vertices == frozenset({2})
+
+    def test_dangling_edge_leaves_two_disjoint_dangling_edges(self):
+        g = fig1a().condition(0)
         assert g.endpoints(1) == (1,)
         assert g.endpoints(2) == (2,)
-        assert 0 not in g.vertices
+        assert g.vertices == frozenset({1, 2})
 
-    def test_isolated_vertex(self):
-        g = Graph([0, 1], [(0, (1,))])
-        h = g.detach_vertex(0)
-        assert h.endpoints(0) == (1,)
-        assert h.vertices == frozenset({1})
+    def test_free_edge_leaves_the_vertices(self):
+        g = Graph([0, 1], [(0, ()), (1, (0, 1))]).condition(0)
+        assert g.edge_ids == (1,)
+        assert g.endpoints(1) == (0, 1)
+        assert g.vertices == frozenset({0, 1})
 
-    def test_normal_edge_becomes_dangling(self):
-        base = Graph.from_edges([(0, 1)])
-        g = base.detach_vertex(0)
-        assert g.classify(0) is EdgeKind.DANGLING
-        assert g.endpoints(0) == (1,)
-        assert base.endpoints(0) == (0, 1)
+    def test_parallel_copy_ends_free(self):
+        g = Graph.from_edges([(0, 1), (0, 1), (1, 2)]).condition(0)
+        assert g.classify(1) is EdgeKind.FREE
+        assert g.endpoints(2) == (2,)
 
-    def test_unknown_vertex(self):
-        with pytest.raises(KeyError):
-            fig1a().detach_vertex(42)
+    def test_unknown_edge(self):
+        with pytest.raises(KeyError, match="unknown edge id 42"):
+            fig1a().condition(42)
+
+    def test_the_original_is_unchanged(self):
+        base = Graph.from_edges([(0, 1), (1, 2), (1,)])
+        before = format_graph(base)
+        for e in base.edge_ids:
+            base.condition(e)
+        assert format_graph(base) == before
+        assert base.incident_edges(1) == (0, 1, 2)
 
 
 class TestIncidentEdges:
@@ -123,36 +137,27 @@ class TestConstruction:
 
 
 @settings(max_examples=150, deadline=None)
-@given(g=graphs())
-def test_detach_reduces_incident_endpoint_counts_by_one(g: Graph):
-    if not g.vertices:
+@given(g=graphs(), data=st.data())
+def test_condition_equals_an_independent_build(g: Graph, data):
+    if not g.edge_count:
         return
-    u = min(g.vertices)
-    incident = set(g.incident_edges(u))
-    h = g.detach_vertex(u)
-    for e in g.edge_ids:
-        before = g.endpoints(e)
-        after = h.endpoints(e)
-        if e in incident:
-            assert len(after) == len(before) - 1
-            assert u not in after
-        else:
-            assert after == before
+    e = data.draw(st.sampled_from(g.edge_ids))
+    gone = set(g.endpoints(e))
+    want = Graph(g.vertices - gone, [(x, [u for u in g.endpoints(x) if u not in gone]) for x in g.edge_ids if x != e])
+    h = g.condition(e)
+    assert h == want
+    # both id orders and every incidence list, as the constructor builds them
+    assert repr(h) == repr(want)
+    assert all(h.incident_edges(v) == want.incident_edges(v) for v in want.vertices)
 
 
 @settings(max_examples=150, deadline=None)
 @given(g=graphs(), data=st.data())
-def test_remove_and_detach_commute_when_not_incident(g: Graph, data):
-    candidates = [
-        (e, v)
-        for e in g.edge_ids
-        for v in g.vertices
-        if v not in g.endpoints(e)
-    ]
-    if not candidates:
+def test_conditioning_commutes(g: Graph, data):
+    if g.edge_count < 2:
         return
-    e, v = data.draw(st.sampled_from(candidates))
-    assert g.remove_edge(e).detach_vertex(v) == g.detach_vertex(v).remove_edge(e)
+    e, f = data.draw(st.lists(st.sampled_from(g.edge_ids), min_size=2, max_size=2, unique=True))
+    assert g.condition(e).condition(f) == g.condition(f).condition(e)
 
 
 @settings(max_examples=150, deadline=None)

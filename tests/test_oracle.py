@@ -154,10 +154,7 @@ class TestOracleInvariants:
             for e in g.edge_ids:
                 if g.classify(e) is not EdgeKind.NORMAL:
                     continue
-                u, v = g.endpoints(e)
-                without = g.remove_edge(e)
-                conditioned = without.detach_vertex(u).detach_vertex(v)
-                assert exact_count(g) == exact_count(without) + exact_count(conditioned)
+                assert exact_count(g) == exact_count(g.remove_edge(e)) + exact_count(g.condition(e))
 
     def test_dangling_chain_identity_exact_rationals(self):
         # the recursion for a dangling edge holds exactly:
@@ -247,17 +244,19 @@ class TestFrontierDp:
             assert exact_count(g) == independent_cover_count(g)
 
     def test_matches_independent_enumerator_on_multigraphs_and_their_subgraphs(self):
-        # the deleted edge and the detached vertex leave gaps in the ids
+        # the deleted edge, and the conditioned edge with its endpoints, leave gaps in the ids
         rng = random.Random(23)
         kinds = set()
+        gapped = 0
         for g in seeded_multigraphs(500, max_edges=14):
             kinds.update(g.classify(e) for e in g.edge_ids)
-            derived = [g.remove_edge(rng.choice(g.edge_ids))]
-            if g.vertices:  # an all-free sample has none
-                derived.append(g.detach_vertex(rng.choice(sorted(g.vertices))))
-            for h in (g, *derived):
+            without, conditioned = g.remove_edge(rng.choice(g.edge_ids)), g.condition(rng.choice(g.edge_ids))
+            ids = conditioned.edge_ids, sorted(conditioned.vertices)
+            gapped += all(list(x) != list(range(len(x))) for x in ids)
+            for h in (g, without, conditioned):
                 assert exact_count(h) == independent_cover_count(h)
         assert kinds == set(EdgeKind)
+        assert gapped > 100  # 204 of the 500 conditioned graphs have a gap in both id sets
 
     def test_huge_vertex_ids(self):
         a, b, c, d = 10**9, 10**9 + 7, 10**9 + 3, 10**9 + 12
