@@ -32,7 +32,7 @@ DEFAULT_MARGINAL_EPSILON = 0.1
 
 
 def _load_graph(path: str) -> Graph:
-    return parse_graph(Path(path).read_text(encoding="utf-8"))
+    return parse_graph(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _emit(payload: dict) -> None:
@@ -89,7 +89,7 @@ def cmd_marginal(args) -> int:
 
 
 def cmd_from_cnf(args) -> int:
-    phi = parse_cnf(Path(args.cnf).read_text(encoding="utf-8"))
+    phi = parse_cnf(Path(args.cnf).read_text(encoding="utf-8-sig"))
     g = to_graph(phi)
     payload = _count_payload(g, args.epsilon)
     payload["vars"] = phi.num_vars

@@ -24,10 +24,10 @@ answers its leaf children itself, with no call: a truncated child is
 up by their number, and a free child is 1/2 too.  Only a dangling child
 with budget left costs a call.  The trace hook still sees every leaf,
 in visiting order, and traced and untraced runs take the same path.  The
-kernel folds each child's value into a running product as it comes,
-with ``dangling_combine``'s range check and in its order, so a node's
-value is ``dangling_combine`` of its children's, bit for bit.  Both
-frames filter live ends and siblings with plain loops, not
+kernel folds each child's value, one it made and so in [0, 1/2], into a
+running product in ``dangling_combine``'s order with no range check, so
+a node's value is ``dangling_combine`` of its children's, bit for bit.
+Both frames filter live ends and siblings with plain loops, not
 comprehensions: before Python 3.12 a comprehension is a function object
 and a frame per evaluation, and each local it reads becomes a closure
 cell for the whole enclosing frame.
@@ -268,7 +268,7 @@ def _dangling(ws: _Workspace, e: int, u: int, depth: int) -> float:
             # every child's live ends include u, which its subinstance detaches
             for child in others:
                 on_node(child_depth, ws.ids[child], KINDS[len(ws.live_ends(child)) - 1], "base")
-        return _LEAVES[k] if k < _TABLE_SIZE else dangling_combine([0.5] * k)
+        return _LEAVES[k] if k < _TABLE_SIZE else 0.5
 
     ends = ws.ends
     vert_live[u] = False
@@ -283,8 +283,6 @@ def _dangling(ws: _Workspace, e: int, u: int, depth: int) -> float:
             if on_node is not None:
                 on_node(child_depth, ws.ids[child], EdgeKind.FREE, "free")
             x = 0.5
-        if not 0.0 <= x <= 0.5:
-            raise ContractViolationError(f"marginal {x!r} outside [0, 1/2]")
         prod *= x
         edge_live[child] = False
     for child in others:
@@ -293,10 +291,9 @@ def _dangling(ws: _Workspace, e: int, u: int, depth: int) -> float:
     return (1.0 - prod) / (2.0 - prod)
 
 
-# Crossing a degree-(k + 1) vertex costs ceil(log6(k + 1)) units of depth,
-# which makes the budget polynomial without a degree bound.  Per sibling
-# count k < _TABLE_SIZE: that cost and the value of a dangling node whose k
-# children are all truncated leaves; larger k falls back to computing them.
+# Crossing a degree-(k + 1) vertex costs ceil(log6(k + 1)) units of depth, which makes the budget
+# polynomial without a degree bound.  Per sibling count k < _TABLE_SIZE: that cost and the value of a
+# dangling node whose k children are all truncated leaves; past the table that value is 1/2 exactly.
 _TABLE_SIZE = 64
 _STEPS = [_ceil_log6(k + 1) for k in range(_TABLE_SIZE)]
 _LEAVES = [dangling_combine([0.5] * k) for k in range(_TABLE_SIZE)]

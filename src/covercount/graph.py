@@ -185,7 +185,7 @@ def parse_graph(text: str) -> Graph:
     a comment.  Declaration order is free; all vertex references are
     checked against the declared set.
     """
-    vertices: dict[int, int] = {}  # vertex id -> line number
+    vertices: set[int] = set()
     edges: dict[int, tuple[list[int], int]] = {}  # edge id -> (endpoints, line number)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -210,7 +210,7 @@ def parse_graph(text: str) -> Graph:
         if tag == "v":
             if item in vertices:
                 raise GraphFormatError(f"line {lineno}: duplicate vertex id {item}")
-            vertices[item] = lineno
+            vertices.add(item)
             continue
         if item in edges:
             raise GraphFormatError(f"line {lineno}: duplicate edge id {item}")

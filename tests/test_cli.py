@@ -458,6 +458,26 @@ def test_utf8_files_read_under_an_ascii_locale(capsys, tmp_path, command, name, 
     assert (0, proc.stdout, "") == run_cli(capsys, command[0], str(path), *command[1:])
 
 
+@pytest.mark.parametrize(
+    "command, name, text",
+    [
+        (["count", "--epsilon", "0.2"], "c4.graph", C4_TEXT),
+        (["exact"], "c4.graph", C4_TEXT),
+        (["from-cnf", "--epsilon", "0.2"], "f.cnf", CNF_TEXT),
+    ],
+    ids=["count", "exact", "from-cnf"],
+)
+def test_a_leading_byte_order_mark_is_skipped(capsys, tmp_path, command, name, text):
+    plain = tmp_path / name
+    plain.write_text(text, encoding="utf-8")
+    marked = tmp_path / f"bom-{name}"
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    expected = run_cli(capsys, command[0], str(plain), *command[1:])
+    assert expected[0] == 0
+    assert run_cli(capsys, command[0], str(marked), *command[1:]) == expected
+
+
 def test_module_entry_point(tmp_path):
     path = tmp_path / "c4.graph"
     path.write_text(C4_TEXT)

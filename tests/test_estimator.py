@@ -412,14 +412,26 @@ class TestDanglingKernel:
             assert value.hex() == dangling_combine([0.5] * k).hex()
             assert ws.truncated == (k > 0)
 
-    def test_a_child_outside_the_half_interval_breaks_the_contract(self, monkeypatch):
-        # edge 0 dangles at vertex 0; its one child, edge 1, dangles at vertex 1
-        # above edge 2, whose truncated leaf makes edge 1's value _LEAVES[1]
-        g = Graph.from_edges([(0,), (0, 1), (1, 2)])
-        for bad in (0.75, -0.25, math.nan):
-            monkeypatch.setattr(estimator, "_LEAVES", [bad] * estimator._TABLE_SIZE)
-            with pytest.raises(ContractViolationError, match=r"marginal .* outside \[0, 1/2\]"):
-                estimator._dangling(estimator._Workspace(g), 0, 0, 2)
+    # The kernel folds no value it did not make: 1/2 for a free child, a _LEAVES entry, or a
+    # kernel return (1 - p)/(2 - p) for p a product of such values or the empty product 1, so p
+    # is in [0, 1].  Halving is exact, so fl(2 - p)/2 = fl(1 - p/2) >= fl(1 - p) by monotone
+    # rounding, and the quotient stays in [0, 1/2]; that is why the fold checks no range.
+    @staticmethod
+    def assert_folds_into_half_interval(p):
+        assert 0.0 <= (1.0 - p) / (2.0 - p) <= 0.5, p.hex()
+
+    def test_every_value_the_kernel_folds_lies_in_the_half_interval(self):
+        assert all(0.0 <= x <= 0.5 for x in estimator._LEAVES)
+        ulp_edges = [0.0, 2.0**-1074, 2.0**-54, 2.0**-53, 3 * 2.0**-54, 2.0**-52, 0.5, 1.0 - 2.0**-53, 1.0]
+        # every binade down to the smallest subnormal, at its bottom, middle and top
+        scaled = [math.ldexp(m, -e) for m in (1.0, 1.5, 2.0 - 2.0**-52) for e in range(1, 1075)]
+        for p in ulp_edges + scaled:
+            self.assert_folds_into_half_interval(p)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(0.0, 1.0))
+    def test_the_fold_maps_any_product_into_the_half_interval(self, p):
+        self.assert_folds_into_half_interval(p)
 
 
 @pytest.mark.parametrize("fn", [estimator._recurse, estimator._dangling, oracle._step], ids=lambda f: f.__name__)

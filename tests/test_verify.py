@@ -67,6 +67,18 @@ def test_a_graph_at_the_edge_cap_passes_the_identities(monkeypatch):
     assert all(r.passed for r in results), results
 
 
+def test_a_count_past_float_range_is_judged_by_its_log(monkeypatch, capsys):
+    # the normal edge is in every cover and the free edges double the count: 2^1030, past float range
+    g = Graph.from_edges([(0, 1)] + [()] * 1030)
+    monkeypatch.setattr(verify, "verification_corpus", lambda *_: [g])
+
+    code = cli.main(["verify", "--max-edges", "1031", "--trials", "1"])
+
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "PASS fptas-eps=0.1 worst_rel_err=0.000e+00 allowed=0.1\n" in out
+
+
 def test_half_bound_reports_the_smallest_estimate_it_saw(monkeypatch):
     # no 9-cycle estimate at depths 0..12 is 0, so a minimum that starts at 0 never moves
     g = cycle_graph(9)
