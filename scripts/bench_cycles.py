@@ -1,5 +1,6 @@
-"""Wall time of ``estimate_count`` at eps 0.2 on cycles, grids and complete
-graphs, and of ``run_verification``, for one or more source trees.
+"""Wall time of ``estimate_count`` at eps 0.2 on cycles, grids, complete
+graphs and random multigraphs, and of ``run_verification``, for one or more
+source trees.
 
     python scripts/bench_cycles.py --out BENCH_flat_workspace.json \\
         --side parent=../parent/src --side change=src \\
@@ -10,11 +11,14 @@ recorded as its path and the sha256 of its ``*.py`` files; a label given
 twice, or a run with no side or no instance, is an error before anything
 runs.  Each side's ``SRC/covercount`` is imported into this interpreter as
 ``covercount_side<i>``, ``i`` its position, so a tree must import its own
-modules relatively.  Each instance (``cycle<n>``, ``grid<r>x<c>``, ``k<n>``
-or ``verify<seed>``) runs in ``ROUNDS`` rounds.  A round is one run per
-side, back to back, the first side leading in even rounds and the last in
-odd ones, and each run is one row: one untraced call, timed after an
-untimed ``gc.collect()``, with the side's function looked up before it.
+modules relatively.  Each instance (``cycle<n>``, ``grid<r>x<c>``, ``k<n>``,
+``multi<seed>`` or ``verify<seed>``) runs in ``ROUNDS`` rounds.
+``multi<seed>`` is the side's ``random_multigraph(seed, max_vertices=12,
+max_edges=40)``, which has the free, dangling and parallel edges that the
+other families lack.  A round is one run per side, back to back, the first
+side leading in even rounds and the last in odd ones, and each run is one
+row: one untraced call, timed after an untimed ``gc.collect()``, with the
+side's function looked up before it.
 A graph instance's row holds, from the count it times, the ``depth``, the
 ``nodes`` (``ApproxCount.nodes``; a tree without it gives an error row),
 the ``value_hex`` and ``marginals_sha256``, the sha256 of every marginal's
@@ -69,10 +73,12 @@ def module(side: ModuleType, name: str) -> ModuleType:
 
 def build(side: ModuleType, instance: str):
     """The graph an instance name stands for, built with the side's own code."""
-    cycle_graph, Graph = module(side, "generate").cycle_graph, module(side, "graph").Graph
+    generate, Graph = module(side, "generate"), module(side, "graph").Graph
     name = instance.lower()
     if name.startswith("cycle"):
-        return cycle_graph(int(name[5:]))
+        return generate.cycle_graph(int(name[5:]))
+    if name.startswith("multi"):
+        return generate.random_multigraph(int(name[5:]), max_vertices=12, max_edges=40)
     if name.startswith("grid"):
         r, c = (int(tok) for tok in name[4:].split("x"))
         edges = [(i * c + j, i * c + j + 1) for i in range(r) for j in range(c - 1)]
@@ -81,7 +87,9 @@ def build(side: ModuleType, instance: str):
     if name.startswith("k"):
         n = int(name[1:])
         return Graph.from_edges([(i, j) for i in range(n) for j in range(i + 1, n)])
-    raise ValueError(f"unknown instance {instance!r}; expected cycle<n>, grid<r>x<c>, k<n> or verify<seed>")
+    raise ValueError(
+        f"unknown instance {instance!r}; expected cycle<n>, grid<r>x<c>, k<n>, multi<seed> or verify<seed>"
+    )
 
 
 def timed(run, *args, **kwargs) -> tuple[object, float]:

@@ -42,8 +42,11 @@ The public functions map the caller's edge id in and return marginals
 under the original ids.  The trace hook ``on_node`` is workspace state,
 set at build time, and sees those ids directly: each node calls it once
 with its edge's id.  A branch clears the flags of what it removes and
-sets them again before it returns, so there is no undo log.  The same
-recursion over persistent subgraphs is kept only as the tests' reference
+sets them again before it returns, so there is no undo log; only the
+kernel leaves its own edge cleared, for its caller to restore (see
+``_Workspace``).  The kernel reads each child's other end from one XOR
+table, ``far``, with no endpoint probe.  The same recursion over
+persistent subgraphs is kept only as the tests' reference
 (``tests/reference.py``), which this one matches bit for bit.
 
 ``chain_marginals(g, depth)`` runs the same recursion for every edge of
@@ -120,8 +123,11 @@ class _Workspace:
 
     Edges and vertices are renumbered 0..m-1 and 0..n-1 in ascending id
     order, and every field is a list indexed by those numbers: ``ends``
-    (edge -> sorted endpoint tuple), ``inc`` (vertex -> incident edge
-    tuple, ascending), and the live flags ``edge_live`` and ``vert_live``.
+    (edge -> sorted endpoint tuple), ``far`` (edge -> the XOR of its first
+    and last endpoint, 0 for a free edge), ``inc`` (vertex -> incident
+    edge tuple, ascending), and the live flags ``edge_live`` and
+    ``vert_live``.  For an endpoint u of edge x, ``far[x] ^ u`` is x's
+    other endpoint, or u itself if x is dangling.
     The renumbering is monotone, so every order the recursion reads is
     the input's: an edge's live endpoints are its static endpoints whose
     vertex is live, in ascending order, so a normal edge always reads back
@@ -130,9 +136,11 @@ class _Workspace:
     back to its edge id.  ``on_node``, the run's trace hook or None, is set
     at build time; each frame reads it once and calls it with ``ids[e]``.
     The recursion clears the flags of each branch and sets them again
-    before it returns, except a node's own edge e: its endpoints are dead
-    below it, where only live vertices' edges are read, and its sibling
-    lists skip it by number.
+    before it returns, except a dangling node's own edge e: ``_dangling``
+    clears e's flag on entry, so its sibling scan skips e, and leaves it
+    cleared for its caller, which drops e next; ``_recurse`` sets a
+    dangling root's flag again.  Only live vertices' edges are read, so a
+    free child, whose ends are all dead, is left live.
     ``truncated`` is set whenever a truncated leaf is reached, by the root
     dispatch for a root at depth <= 0 and by the kernel for a node whose
     children are all truncated, and is never cleared by the recursion.
@@ -140,7 +148,7 @@ class _Workspace:
     would see.
     """
 
-    __slots__ = ("ids", "ends", "inc", "edge_live", "vert_live", "truncated", "nodes", "on_node")
+    __slots__ = ("ids", "ends", "far", "inc", "edge_live", "vert_live", "truncated", "nodes", "on_node")
 
     def __init__(self, g: Graph, on_node: Optional[TraceFn] = None):
         emap = g._edges
@@ -157,6 +165,7 @@ class _Workspace:
             edge_no = dict(zip(ids, range(len(ids)))).__getitem__
             inc = [tuple(map(edge_no, row)) for row in inc]
         self.ends = ends
+        self.far = [p[0] ^ p[-1] if p else 0 for p in ends]
         self.inc = inc
         self.edge_live = [True] * len(ids)
         self.vert_live = [True] * len(verts)
@@ -203,7 +212,9 @@ def _recurse(ws: _Workspace, e: int, depth: int) -> float:
             on_node(depth, ws.ids[e], EdgeKind.FREE, "free")
         return 0.5
     if len(ends) == 1:
-        return _dangling(ws, e, ends[0], depth)
+        value = _dangling(ws, e, ends[0], depth)
+        ws.edge_live[e] = True
+        return value
 
     if on_node is not None:
         on_node(depth, ws.ids[e], EdgeKind.NORMAL, "normal")
@@ -254,9 +265,10 @@ def _dangling(ws: _Workspace, e: int, u: int, depth: int) -> float:
         on_node(depth, ws.ids[e], EdgeKind.DANGLING, "dangling")
     edge_live = ws.edge_live
     vert_live = ws.vert_live
+    edge_live[e] = False  # left cleared: its caller drops e next, and _recurse revives a root
     others = []
     for x in ws.inc[u]:
-        if edge_live[x] and x != e:
+        if edge_live[x]:
             others.append(x)
     k = len(others)
     ws.nodes += k  # its caller counted e itself
@@ -270,21 +282,19 @@ def _dangling(ws: _Workspace, e: int, u: int, depth: int) -> float:
                 on_node(child_depth, ws.ids[child], KINDS[len(ws.live_ends(child)) - 1], "base")
         return _LEAVES[k] if k < _TABLE_SIZE else 0.5
 
-    ends = ws.ends
+    far = ws.far
     vert_live[u] = False
     prod = 1.0  # dangling_combine's product, in the same order
     for child in others:
-        a, b = ends[child][0], ends[child][-1]  # u is one of them, and dead
-        if vert_live[a]:
-            x = _dangling(ws, child, a, child_depth)
-        elif vert_live[b]:
-            x = _dangling(ws, child, b, child_depth)
+        # the child's other end, or u itself (dead) if it dangles at u; a called child comes
+        # back cleared, so a later sibling at the same end skips it
+        w = far[child] ^ u
+        if vert_live[w]:
+            prod *= _dangling(ws, child, w, child_depth)
         else:
             if on_node is not None:
                 on_node(child_depth, ws.ids[child], EdgeKind.FREE, "free")
-            x = 0.5
-        prod *= x
-        edge_live[child] = False
+            prod *= 0.5
     for child in others:
         edge_live[child] = True
     vert_live[u] = True

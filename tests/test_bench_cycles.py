@@ -1,5 +1,6 @@
 """scripts/bench_cycles.py names each side by its source content, loads each
-side's tree under its own name and runs that tree's code, times one run per
+side's tree under its own name and runs that tree's code (its own generator
+for a ``multi<seed>`` instance), times one run per
 side per round, back to back, counts each graph only in the count it times, times
 ``run_verification`` for a ``verify<seed>`` instance, names every instance
 whose sides disagree, fails when a run fails, and refuses a side label given
@@ -132,6 +133,35 @@ def test_a_row_runs_only_its_timed_counts_and_traces_none(bench, monkeypatch):
     monkeypatch.setattr(counter, "estimate_count", counted)
     bench.measure(side, "cycle7")
     assert hooks == [None]
+
+
+def test_a_multi_instance_is_built_by_the_sides_own_generator(bench, tmp_path):
+    tree = counting_tree(tmp_path / "a", "")
+    with open(tree / "covercount" / "generate.py", "a") as f:
+        f.write("\ndef random_multigraph(seed, **sizes):\n    return seed, sizes\n")
+    assert bench.build(bench.load(tree, 0), "multi4") == (4, {"max_vertices": 12, "max_edges": 40})
+
+
+def test_a_multi_instance_has_free_dangling_and_parallel_edges(bench):
+    from covercount import counter, generate
+
+    side = bench.load(SRC, 0)
+    g = bench.build(side, "multi3")
+    want = generate.random_multigraph(3, max_vertices=12, max_edges=40)
+    ends = [g.endpoints(e) for e in g.edge_ids]
+    assert list(g.edge_ids) == list(want.edge_ids) and ends == [want.endpoints(e) for e in want.edge_ids]
+    # what CI's base-vs-change step runs it for: cycles, grids and complete graphs have none of these
+    assert {len(pair) for pair in ends} == {0, 1, 2}
+    assert len({pair for pair in ends if len(pair) == 2}) < sum(len(pair) == 2 for pair in ends)
+    row = bench.measure(side, "multi3")
+    result = counter.estimate_count(want, bench.EPSILON)
+    assert (row["m"], row["nodes"], row["value_hex"]) == (38, result.nodes, result.value.hex())
+
+
+def test_an_unknown_instance_names_every_family(bench):
+    with pytest.raises(ValueError) as raised:
+        bench.build(bench.load(SRC, 0), "wheel5")
+    assert str(raised.value).endswith("expected cycle<n>, grid<r>x<c>, k<n>, multi<seed> or verify<seed>")
 
 
 @pytest.mark.parametrize("instance", ["cycle7", "k5"])

@@ -434,6 +434,49 @@ class TestDanglingKernel:
         self.assert_folds_into_half_interval(p)
 
 
+class TestFarEndsAndFlags:
+    """The workspace's far-end table, and the flags the kernel leaves behind."""
+
+    @staticmethod
+    def corpus():
+        # dense ids, then the translation path
+        return [*exhaustive_small_graphs(), *seeded_multigraphs(200), scattered_id_graph()]
+
+    def test_far_end_is_the_other_endpoint_or_the_dangling_end_itself(self):
+        dangling = normal = 0
+        for g in self.corpus():
+            ws = estimator._Workspace(g)
+            vert_no = {v: i for i, v in enumerate(sorted(g.vertices))}
+            for x, e in enumerate(ws.ids):
+                ends = [vert_no[v] for v in g.endpoints(e)]
+                for u, w in zip(ends, reversed(ends)):
+                    assert ws.far[x] ^ u == w, (e, g.endpoints(e))
+                dangling += len(ends) == 1
+                normal += len(ends) == 2
+        assert dangling and normal
+
+    def test_the_kernel_clears_its_own_flag_and_restores_every_other(self):
+        rng = random.Random(26)
+        for g in self.corpus():
+            for on_node in (None, lambda *a: None):
+                ws = estimator._Workspace(g, on_node)
+                for e in range(len(ws.ids)):
+                    for u, v in zip(ws.ends[e], reversed(ws.ends[e])):
+                        # e dangles at u: its other end, if it has one, is dead, and so are some other edges
+                        if v != u:
+                            ws.vert_live[v] = False
+                        for x in rng.sample(range(len(ws.ids)), len(ws.ids) // 4):
+                            if x != e:
+                                ws.edge_live[x] = False
+                        edge_live, vert_live = list(ws.edge_live), list(ws.vert_live)
+                        estimator._dangling(ws, e, u, rng.randint(1, 5))
+                        edge_live[e] = False
+                        assert ws.edge_live == edge_live
+                        assert ws.vert_live == vert_live
+                        ws.edge_live[:] = [True] * len(ws.ids)
+                        ws.vert_live[v] = True
+
+
 @pytest.mark.parametrize("fn", [estimator._recurse, estimator._dangling, oracle._step], ids=lambda f: f.__name__)
 def test_per_node_frames_build_no_nested_function(fn):
     # Before Python 3.12 each of these is a function object and a frame per
