@@ -140,7 +140,10 @@ def cmd_bench(args) -> int:
 
 
 def _epsilon(value: str) -> float:
-    eps = float(value)
+    try:
+        eps = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}") from None
     if not 0.0 < eps < 1.0:
         raise argparse.ArgumentTypeError(f"epsilon must be in (0, 1), got {value}")
     return eps
@@ -166,8 +169,15 @@ def _int_at_least(low: int):
     return integer
 
 
+def _int(value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
+
+
 def _int_list(value: str) -> list[int]:
-    return _nonempty([int(tok) for tok in value.split(",") if tok])
+    return _nonempty([_int(tok) for tok in value.split(",") if tok])
 
 
 @functools.cache  # built once: nothing mutates it, and each cmd_* looks up its callees when called

@@ -1,15 +1,26 @@
 """Oracle-vs-estimator verification suites behind the `verify` command.
 
-Each suite sweeps a seeded corpus (every labeled simple graph on up to 4
-vertices, plus seeded random multigraphs with dangling and free edges)
-and reports its worst observed error against the guaranteed bound.  One
-forward-backward pass of the oracle (``exact_count_without``) counts each
-corpus graph and all of its edge-deleted graphs; the suites share those
-counts as ``(graph, count, without)`` triples, where ``without[e]`` is the
-count of the graph minus edge e.  The identity suite checks the pass
-against independent ``exact_count`` DPs: the count doubles when a free
-edge is added, and each normal edge's ``without[e]``, from the backward
-pass, is the count less the count with e conditioned in.
+The marginal, fptas and identity suites sweep a seeded corpus (every
+labeled simple graph on up to 4 vertices, plus seeded random multigraphs
+with dangling and free edges) and report their worst observed error
+against the guaranteed bound.  One forward-backward pass of the oracle
+(``exact_count_without``) counts each corpus graph and all of its
+edge-deleted graphs; the suites share those counts as ``(graph, count,
+without)`` triples, where ``without[e]`` is the count of the graph minus
+edge e.  The identity suite checks the pass against independent
+``exact_count`` DPs: the count doubles when a free edge is added, and each
+normal edge's ``without[e]``, from the backward pass, is the count less
+the count with e conditioned in.
+
+The two sensitivity suites check the combinators themselves, not the
+corpus: the FPTAS rests on correlation decay, so each combinator must
+contract an error in its inputs.  Each seeded trial draws in-range inputs
+and a perturbed copy, in [0, 1/2]: d marginals for ``dangling_combine``,
+or three blocks of d1, d2 and d2 marginals whose products feed
+``normal_combine`` (the last two coupled when d1 = 0).  It checks that the
+outputs differ by at most L * eps, where eps is the largest input
+perturbation and L is min(1/2, d * (1/2)^(d-1)) or 3.  At the `verify`
+defaults they run 20,000 trials each and take most of the run's time.
 """
 
 from __future__ import annotations
@@ -18,7 +29,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import sub
 
 from .counter import estimate_count
 
@@ -35,6 +45,7 @@ MAX_DEPTH = 12
 SMALL_GRAPH_VERTICES = 4
 # dangling_combine's Lipschitz constant for d inputs in [0, 1/2]
 _DANGLING_LIPSCHITZ = tuple(min(0.5, d * 0.5 ** (d - 1)) for d in range(9))
+_HALF_POWERS = tuple(0.5**d for d in range(9))
 # the truncation-decay bounds at depth L: 3·(1/2)^(L+1), and (1/2)^(L+1) at a dangling or free root
 _DECAY_BOUND = tuple(3.0 * 0.5 ** (L + 1) for L in range(MAX_DEPTH + 1))
 _SHARP_BOUND = tuple(0.5 ** (L + 1) for L in range(MAX_DEPTH + 1))
@@ -177,9 +188,16 @@ def sensitivity_bounds_suite(seed: int, trials: int) -> list[SuiteResult]:
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    # 0.5 * draw() is rng.uniform(0.0, 0.5), and the getrandbits(4) loop
-    # is randrange(9), draw for draw, without their Python-level frames
-    # (and plain loops, not comprehensions that would close over draw)
+    # The getrandbits(4) loop is randrange(9), draw for draw.  Each input is
+    # 0.5 * draw(), rng.uniform(0.0, 0.5), with the factor 1/2 taken out: a
+    # block's product of d unscaled draws is scaled once by _HALF_POWERS[d],
+    # and eps, the largest |hat - plain| over every block, once by 0.5.  That
+    # is exact.  A draw is a multiple of 2^-53 in [0, 1), so every partial
+    # product of at most 8 draws is 0 or at least 2^-424, far above the
+    # subnormals, where scaling by a power of two commutes with rounding; and
+    # the difference of two draws is exact.  Each hat block is drawn right
+    # after its plain block and against it, folding its product and eps as
+    # it goes (plain loops, not comprehensions that would close over draw).
     rng = random.Random(seed)
     draw = rng.random
     bits = rng.getrandbits
@@ -189,14 +207,25 @@ def sensitivity_bounds_suite(seed: int, trials: int) -> list[SuiteResult]:
         d = bits(4)
         while d >= 9:
             d = bits(4)
-        xs, xhat = [], []
+        xs = []
+        x = xh = 1.0
+        eps = 0.0
         for _ in range(d):
-            xs.append(0.5 * draw())
-        for _ in range(d):
-            xhat.append(0.5 * draw())
-        eps = max(map(abs, map(sub, xs, xhat))) if d else 0.0
-        bound = _DANGLING_LIPSCHITZ[d] * eps
-        diff = abs(dangling_combine(xhat) - dangling_combine(xs))
+            xs.append(t := draw())
+            x *= t
+        for s in xs:
+            t = draw()
+            xh *= t
+            t -= s
+            if t > eps:
+                eps = t
+            elif -t > eps:
+                eps = -t
+        # dangling_combine multiplies its inputs from 1.0, so one input, their product, gives the same value
+        h = _HALF_POWERS[d]
+        hat, plain = ((h * xh,), (h * x,)) if d else ((), ())
+        diff = abs(dangling_combine(hat) - dangling_combine(plain))
+        bound = _DANGLING_LIPSCHITZ[d] * (0.5 * eps)
         if bound > 0.0 and diff - bound > worst_margin_f:
             worst_margin_f = diff - bound
         if diff > bound + FLOAT_SLACK:
@@ -211,36 +240,52 @@ def sensitivity_bounds_suite(seed: int, trials: int) -> list[SuiteResult]:
         d2 = bits(4)
         while d2 >= 9:
             d2 = bits(4)
-        # drawn block by block, xs, xhat, ys, yhat and, when d1 > 0, zs, zhat, into
-        # a (plain) and b (hats), each product taken as drawn in math.prod's float order
-        a, b = [], []
+        # drawn block by block: xs, xhat, ys, yhat and, when d1 > 0, zs, zhat
+        xs, ys, zs = [], [], []
         x = xh = y = yh = z = zh = 1.0
+        eps = 0.0
         for _ in range(d1):
-            a.append(t := 0.5 * draw())
+            xs.append(t := draw())
             x *= t
-        for _ in range(d1):
-            b.append(t := 0.5 * draw())
+        for s in xs:
+            t = draw()
             xh *= t
+            t -= s
+            if t > eps:
+                eps = t
+            elif -t > eps:
+                eps = -t
         for _ in range(d2):
-            a.append(t := 0.5 * draw())
+            ys.append(t := draw())
             y *= t
-        for _ in range(d2):
-            b.append(t := 0.5 * draw())
+        for s in ys:
+            t = draw()
             yh *= t
+            t -= s
+            if t > eps:
+                eps = t
+            elif -t > eps:
+                eps = -t
         if d1 == 0:
             # with no edges on the first side, the second and third chains
             # coincide, so their products are coupled
             z, zh = y, yh
         else:
             for _ in range(d2):
-                a.append(t := 0.5 * draw())
+                zs.append(t := draw())
                 z *= t
-            for _ in range(d2):
-                b.append(t := 0.5 * draw())
+            for s in zs:
+                t = draw()
                 zh *= t
-        eps = max(map(abs, map(sub, a, b))) if a else 0.0
-        diff = abs(normal_combine(xh, yh, zh) - normal_combine(x, y, z))
-        bound = 3.0 * eps
+                t -= s
+                if t > eps:
+                    eps = t
+                elif -t > eps:
+                    eps = -t
+        h1 = _HALF_POWERS[d1]
+        h2 = _HALF_POWERS[d2]
+        diff = abs(normal_combine(h1 * xh, h2 * yh, h2 * zh) - normal_combine(h1 * x, h2 * y, h2 * z))
+        bound = 3.0 * (0.5 * eps)
         if bound > 0.0 and diff - bound > worst_margin_g:
             worst_margin_g = diff - bound
         if diff > bound + FLOAT_SLACK:

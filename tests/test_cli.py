@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -376,6 +377,34 @@ class TestBench:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["count", "g.graph", "--epsilon", "abc"],
+                "covercount count: error: argument --epsilon: expected a number, got 'abc'",
+            ),
+            (
+                ["verify", "--epsilons", "0.2,abc"],
+                "covercount verify: error: argument --epsilons: expected a number, got 'abc'",
+            ),
+            (
+                ["bench", "--family", "cycle", "--sizes", "4,x", "--epsilon", "0.5"],
+                "covercount bench: error: argument --sizes: expected an integer, got 'x'",
+            ),
+        ],
+        ids=["count-epsilon", "verify-epsilons", "bench-sizes"],
+    )
+    def test_a_malformed_number_is_named_without_a_private_name(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == message
+        # argparse names a type function that raises ValueError: "invalid _epsilon value"
+        assert re.search(r"\b_\w", err) is None, err
+
     def test_missing_file(self, capsys):
         code, out, err = run_cli(capsys, "exact", "/no/such/file.graph")
         assert code == 1

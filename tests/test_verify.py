@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import reference
 from covercount import cli, oracle, verify
 from covercount.generate import cycle_graph
 from covercount.graph import Graph, format_graph
@@ -145,3 +146,34 @@ def test_sensitivity_trials_draw_what_randrange_draws(trials):
     # the inlined getrandbits loop and per-trial draws replay the randrange/uniform spelling exactly
     for seed in range(20):
         assert verify.sensitivity_bounds_suite(seed, trials) == randrange_sensitivity_suite(seed, trials), seed
+
+
+def test_sensitivity_combinators_get_what_randrange_feeds_them(monkeypatch):
+    # SuiteResult's .3e would hide a last-bit slip in a rescaled product; the inputs' .hex() does not
+    def recorders(module):
+        log = []
+        dangling, normal = module.dangling_combine, module.normal_combine
+
+        def record_dangling(values):
+            log.append(("dangling", math.prod(values, start=1.0).hex()))
+            return dangling(values)
+
+        def record_normal(x, y, z):
+            # the reference's math.prod of an empty block is the int 1
+            log.append(("normal", *(float(t).hex() for t in (x, y, z))))
+            return normal(x, y, z)
+
+        monkeypatch.setattr(module, "dangling_combine", record_dangling)
+        monkeypatch.setattr(module, "normal_combine", record_normal)
+        return log
+
+    trials = 500
+    got, want = recorders(verify), recorders(reference)
+    for seed in range(20):
+        got.clear()
+        want.clear()
+        verify.sensitivity_bounds_suite(seed, trials)
+        randrange_sensitivity_suite(seed, trials)
+        assert got == want, seed
+        # both combinators run twice a trial, d = 0 trials included
+        assert Counter(name for name, *_ in got) == {"dangling": 2 * trials, "normal": 2 * trials}, seed
