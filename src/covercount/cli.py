@@ -149,35 +149,27 @@ def _epsilon(value: str) -> float:
     return eps
 
 
-def _nonempty(values: list) -> list:
-    if not values:
-        raise argparse.ArgumentTypeError("must list at least one value")
-    return values
-
-
-def _epsilon_list(value: str) -> list[float]:
-    return _nonempty([_epsilon(tok) for tok in value.split(",") if tok])
-
-
-def _int_at_least(low: int):
+def _integer(low: int | None = None):
     def integer(value: str) -> int:
-        n = int(value)
-        if n < low:
+        try:
+            n = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
+        if low is not None and n < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return n
 
     return integer
 
 
-def _int(value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
+def _listed(item):
+    def listed(value: str) -> list:
+        values = [item(tok) for tok in value.split(",") if tok]
+        if not values:
+            raise argparse.ArgumentTypeError("must list at least one value")
+        return values
 
-
-def _int_list(value: str) -> list[int]:
-    return _nonempty([_int(tok) for tok in value.split(",") if tok])
+    return listed
 
 
 @functools.cache  # built once: nothing mutates it, and each cmd_* looks up its callees when called
@@ -191,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="exact count of a graph file by a frontier dynamic program")
     p.add_argument("graph")
     cap_help = "most frontier vertices open at once; the DP holds at most 2^cap states"
-    p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_FRONTIER_CAP, help=cap_help)
+    p.add_argument("--cap", type=_integer(0), default=DEFAULT_FRONTIER_CAP, help=cap_help)
     p.set_defaults(fn=cmd_exact)
 
     p = sub.add_parser("count", help="approximate count with the accuracy guarantee")
@@ -201,10 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("marginal", help="estimate the absence marginal of one edge")
     p.add_argument("graph")
-    p.add_argument("--edge", type=int, required=True)
+    p.add_argument("--edge", type=_integer(), required=True)
     p.add_argument(
         "--depth",
-        type=_int_at_least(0),
+        type=_integer(0),
         default=None,
         help=f"recursion budget; defaults to the depth an epsilon={DEFAULT_MARGINAL_EPSILON} count would use",
     )
@@ -219,19 +211,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_from_cnf)
 
     p = sub.add_parser("verify", help="run the oracle-vs-estimator verification suites")
-    p.add_argument("--max-edges", type=_int_at_least(1), help="largest corpus graph, in edges")
-    p.add_argument("--epsilons", type=_epsilon_list)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--instances", type=_int_at_least(0), help="random multigraphs per sweep")
-    p.add_argument("--trials", type=_int_at_least(1), help="sensitivity trials per combinator")
+    p.add_argument("--max-edges", type=_integer(1), help="largest corpus graph, in edges")
+    p.add_argument("--epsilons", type=_listed(_epsilon))
+    p.add_argument("--seed", type=_integer())
+    p.add_argument("--instances", type=_integer(0), help="random multigraphs per sweep")
+    p.add_argument("--trials", type=_integer(1), help="sensitivity trials per combinator")
     defaults = inspect.signature(run_verification).parameters.items()
     p.set_defaults(fn=cmd_verify, **{name: param.default for name, param in defaults})
 
     p = sub.add_parser("bench", help="CSV runtime/size sweep for one graph family")
     p.add_argument("--family", choices=["cycle", "star", "random"], required=True)
-    p.add_argument("--sizes", type=_int_list, required=True)
+    p.add_argument("--sizes", type=_listed(_integer(1)), required=True)
     p.add_argument("--epsilon", type=_epsilon, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer(), default=0)
     p.set_defaults(fn=cmd_bench)
 
     return parser

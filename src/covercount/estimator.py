@@ -181,10 +181,6 @@ class _Workspace:
             raise KeyError(f"unknown edge id {e}")
         return i
 
-    def live_ends(self, e: int) -> list[int]:
-        vert_live = self.vert_live
-        return [u for u in self.ends[e] if vert_live[u]]
-
     def condition(self, e: int) -> None:
         """Put edge number e into the cover for good, the live twin of ``Graph.condition``."""
         self.edge_live[e] = False
@@ -277,9 +273,10 @@ def _dangling(ws: _Workspace, e: int, u: int, depth: int) -> float:
         # k >= 1 here, since depth > 0 and _STEPS[0] == 0
         ws.truncated = True
         if on_node is not None:
-            # every child's live ends include u, which its subinstance detaches
+            # u is still live; a child dangles at its other end w if that is another live vertex
             for child in others:
-                on_node(child_depth, ws.ids[child], KINDS[len(ws.live_ends(child)) - 1], "base")
+                w = ws.far[child] ^ u
+                on_node(child_depth, ws.ids[child], KINDS[w != u and vert_live[w]], "base")
         return _LEAVES[k] if k < _TABLE_SIZE else 0.5
 
     far = ws.far

@@ -40,7 +40,6 @@ from .graph import EdgeKind, Graph
 from .oracle import exact_count, exact_count_without, exact_marginal
 
 FLOAT_SLACK = 1e-9
-HALF_SLACK = 1e-12
 MAX_DEPTH = 12
 SMALL_GRAPH_VERTICES = 4
 # dangling_combine's Lipschitz constant for d inputs in [0, 1/2]
@@ -118,7 +117,7 @@ def marginal_suites(counted) -> list[SuiteResult]:
                     hi = est
                 if est < lo:
                     lo = est
-                if not 0.0 <= est <= 0.5 + HALF_SLACK:
+                if not 0.0 <= est <= 0.5:
                     ok_half = False
     return [
         SuiteResult("decay-bound", ok, f"worst_err={worst:.3e} bound_at_worst={worst_bound:.3e}"),

@@ -20,7 +20,6 @@ from covercount.oracle import exact_count, exact_count_without, exact_marginal
 from covercount.verify import sensitivity_bounds_suite, run_verification
 
 FLOAT_SLACK = 1e-9
-HALF_SLACK = 1e-12
 DEPTHS = range(0, 13)
 EPSILONS = (0.5, 0.2, 0.1)
 CORPUS_SEED = 987_001
@@ -131,12 +130,12 @@ def test_criterion_3_half_bound(marginal_sweep, counter_sweep):
         bad += not (0 <= exact <= Fraction(1, 2))
         for est in estimates.values():
             max_est = max(max_est, est)
-            bad += not (0.0 <= est <= 0.5 + HALF_SLACK)
+            bad += not (0.0 <= est <= 0.5)
     for _, by_eps in counter_sweep:
         for result in by_eps.values():
             for _, p in result.marginals:
                 max_est = max(max_est, p)
-                bad += not (0.0 <= p <= 0.5 + HALF_SLACK)
+                bad += not (0.0 <= p <= 0.5)
     report(3, "half-bound", bad == 0, f"violations={bad} max_estimate={max_est!r}")
 
 

@@ -392,8 +392,12 @@ class TestErrorPaths:
                 ["bench", "--family", "cycle", "--sizes", "4,x", "--epsilon", "0.5"],
                 "covercount bench: error: argument --sizes: expected an integer, got 'x'",
             ),
+            (
+                ["bench", "--family", "random", "--sizes", "0", "--epsilon", "0.5"],
+                "covercount bench: error: argument --sizes: must be at least 1, got 0",
+            ),
         ],
-        ids=["count-epsilon", "verify-epsilons", "bench-sizes"],
+        ids=["count-epsilon", "verify-epsilons", "bench-sizes", "bench-size0"],
     )
     def test_a_malformed_number_is_named_without_a_private_name(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -404,6 +408,30 @@ class TestErrorPaths:
         assert err.splitlines()[-1] == message
         # argparse names a type function that raises ValueError: "invalid _epsilon value"
         assert re.search(r"\b_\w", err) is None, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", "G", "--cap", "x"],
+            ["marginal", "G", "--edge", "x"],
+            ["marginal", "G", "--edge", "0", "--depth", "x"],
+            ["verify", "--max-edges", "x"],
+            ["verify", "--seed", "x"],
+            ["verify", "--instances", "x"],
+            ["verify", "--trials", "x"],
+            ["bench", "--family", "cycle", "--sizes", "x", "--epsilon", "0.5"],
+            ["bench", "--family", "cycle", "--sizes", "8", "--epsilon", "0.5", "--seed", "x"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[argv.index('x') - 1]}",
+    )
+    def test_every_integer_option_reads_a_malformed_value_alike(self, capsys, c4_file, argv):
+        option = argv[argv.index("x") - 1]
+        with pytest.raises(SystemExit) as exc:
+            main([c4_file if arg == "G" else arg for arg in argv])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == f"covercount {argv[0]}: error: argument {option}: expected an integer, got 'x'"
 
     def test_missing_file(self, capsys):
         code, out, err = run_cli(capsys, "exact", "/no/such/file.graph")
@@ -449,12 +477,7 @@ class TestErrorPaths:
         assert err == "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
 
     @pytest.mark.parametrize(
-        "family, sizes, message",
-        [
-            ("cycle", "8,2", "cycle needs at least 3 vertices"),
-            ("random", "0", "max_vertices must be at least 1"),
-        ],
-        ids=["cycle-8,2", "random-0"],
+        "family, sizes, message", [("cycle", "8,2", "cycle needs at least 3 vertices")], ids=["cycle-8,2"]
     )
     def test_bench_bad_size_prints_no_rows(self, capsys, family, sizes, message):
         code, out, err = run_cli(capsys, "bench", "--family", family, "--sizes", sizes, "--epsilon", "0.5")

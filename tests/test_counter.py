@@ -156,7 +156,9 @@ class TestNodeBudget:
 def live_view(ws, g):
     """The graph a workspace over g currently stands for, in the form of graph_view."""
     ids, verts = ws.ids, sorted(g.vertices)  # the workspace numbers both in ascending order
-    edges = {ids[e]: tuple(verts[u] for u in ws.live_ends(e)) for e, live in enumerate(ws.edge_live) if live}
+    edges = {
+        ids[e]: tuple(verts[u] for u in ws.ends[e] if ws.vert_live[u]) for e, live in enumerate(ws.edge_live) if live
+    }
     adj = {
         verts[u]: tuple(ids[e] for e in ws.inc[u] if ws.edge_live[e]) for u, live in enumerate(ws.vert_live) if live
     }

@@ -93,6 +93,19 @@ def test_half_bound_reports_the_smallest_estimate_it_saw(monkeypatch):
     assert half.detail == f"max_estimate=0.5 min_estimate={smallest!r}"
 
 
+def test_half_bound_fails_an_estimate_one_ulp_above_one_half(monkeypatch):
+    # a free edge's marginal is 1/2 exactly, so only the half bound, judged with no slack, can fail
+    above = math.nextafter(0.5, 1.0)
+    monkeypatch.setattr(verify, "verification_corpus", lambda *_: [Graph.from_edges([()])])
+    monkeypatch.setattr(verify, "depth_sweep", lambda g, e, max_depth: [above] * (max_depth + 1))
+
+    results = {r.name: r for r in verify.run_verification(trials=1)}
+
+    assert results["decay-bound"].passed
+    assert not results["half-bound"].passed
+    assert results["half-bound"].detail == f"max_estimate={above!r} min_estimate=0.5"
+
+
 def test_a_corpus_past_the_default_oracle_cap_passes():
     results = verify.run_verification(max_edges=30, instances=40, trials=1)
 
