@@ -45,7 +45,10 @@ def depth_for(m: int, eps: float) -> int:
     if m < 1:
         raise ValueError(f"edge count must be positive, got {m}")
     _check_epsilon(eps)
-    return math.ceil(math.log2(m) + math.log2(6.0 / eps))
+    q = 6.0 / eps
+    # below about 3.3e-308 the quotient overflows; its log is still finite
+    bits = math.log2(q) if q != math.inf else math.log2(6.0) - math.log2(eps)
+    return math.ceil(math.log2(m) + bits)
 
 
 def elimination_chain(g: Graph) -> list[tuple[Graph, int]]:

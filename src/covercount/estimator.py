@@ -41,13 +41,14 @@ recursion reads, so it visits the same tree as over the original ids.
 The public functions map the caller's edge id in and return marginals
 under the original ids.  The trace hook ``on_node`` is workspace state,
 set at build time, and sees those ids directly: each node calls it once
-with its edge's id.  A branch clears the flags of what it removes and
-sets them again before it returns, so there is no undo log; only the
-kernel leaves its own edge cleared, for its caller to restore (see
-``_Workspace``).  The kernel reads each child's other end from one XOR
-table, ``far``, with no endpoint probe.  The same recursion over
-persistent subgraphs is kept only as the tests' reference
-(``tests/reference.py``), which this one matches bit for bit.
+with its edge's id.  Every node, root or kernel, clears its own edge's
+flag on entry and returns with it still cleared, for its caller to drop
+or set again; every other flag a node clears it sets again before it
+returns, so there is no undo log (see ``_Workspace``).  The kernel reads
+each child's other end from one XOR table, ``far``, with no endpoint
+probe.  The same recursion over persistent subgraphs is kept only as the
+tests' reference (``tests/reference.py``), which this one matches bit for
+bit.
 
 ``chain_marginals(g, depth)`` runs the same recursion for every edge of
 the counter's elimination order on one shared workspace, conditioning
@@ -135,12 +136,13 @@ class _Workspace:
     entries of ``inc``, already in ascending order.  ``ids`` maps a number
     back to its edge id.  ``on_node``, the run's trace hook or None, is set
     at build time; each frame reads it once and calls it with ``ids[e]``.
-    The recursion clears the flags of each branch and sets them again
-    before it returns, except a dangling node's own edge e: ``_dangling``
-    clears e's flag on entry, so its sibling scan skips e, and leaves it
-    cleared for its caller, which drops e next; ``_recurse`` sets a
-    dangling root's flag again.  Only live vertices' edges are read, so a
-    free child, whose ends are all dead, is left live.
+    One flag rule holds for every node, in ``_recurse`` or ``_dangling``:
+    it clears its own edge e's flag on entry, so its sibling scans skip e,
+    and returns with e still cleared; its caller drops e next or sets it
+    again.  Every other flag a node clears it sets again before it
+    returns.  Leaf children that the kernel answers in its own loop are
+    never entered, so their flags never change: only live vertices' edges
+    are read, so a free child, whose ends are all dead, is left live.
     ``truncated`` is set whenever a truncated leaf is reached, by the root
     dispatch for a root at depth <= 0 and by the kernel for a node whose
     children are all truncated, and is never cleared by the recursion.
@@ -192,6 +194,8 @@ def _recurse(ws: _Workspace, e: int, depth: int) -> float:
     # Root dispatch: every case, once per marginal and once per child of a
     # normal root.  Every dangling node, root or not, runs in _dangling.
     ws.nodes += 1
+    edge_live = ws.edge_live
+    edge_live[e] = False  # left cleared, as in _dangling: its caller drops e next or sets it again
     vert_live = ws.vert_live
     ends = []
     for w in ws.ends[e]:
@@ -208,35 +212,30 @@ def _recurse(ws: _Workspace, e: int, depth: int) -> float:
             on_node(depth, ws.ids[e], EdgeKind.FREE, "free")
         return 0.5
     if len(ends) == 1:
-        value = _dangling(ws, e, ends[0], depth)
-        ws.edge_live[e] = True
-        return value
+        return _dangling(ws, e, ends[0], depth)
 
     if on_node is not None:
         on_node(depth, ws.ids[e], EdgeKind.NORMAL, "normal")
     inc = ws.inc
-    edge_live = ws.edge_live
     u, v = ends
     at_u = []
     for x in inc[u]:
-        if edge_live[x] and x != e:
+        if edge_live[x]:
             at_u.append(x)
     at_v = []
     for x in inc[v]:
-        if edge_live[x] and x != e:
+        if edge_live[x]:
             at_v.append(x)
     vert_live[u] = vert_live[v] = False
 
-    x = 1.0
+    x = 1.0  # each child comes back cleared
     for child in at_u:
         x *= _recurse(ws, child, depth)
-        edge_live[child] = False
     y = 1.0
     for child in at_v:
         if not edge_live[child]:
             continue  # a parallel copy of e, conditioned away with u's edges; factor 1
         y *= _recurse(ws, child, depth)
-        edge_live[child] = False
     for child in at_u:
         edge_live[child] = True
     for child in at_v:
@@ -244,7 +243,6 @@ def _recurse(ws: _Workspace, e: int, depth: int) -> float:
     z = 1.0
     for child in at_v:
         z *= _recurse(ws, child, depth)
-        edge_live[child] = False
     for child in at_v:
         edge_live[child] = True
     vert_live[u] = vert_live[v] = True
@@ -261,7 +259,7 @@ def _dangling(ws: _Workspace, e: int, u: int, depth: int) -> float:
         on_node(depth, ws.ids[e], EdgeKind.DANGLING, "dangling")
     edge_live = ws.edge_live
     vert_live = ws.vert_live
-    edge_live[e] = False  # left cleared: its caller drops e next, and _recurse revives a root
+    edge_live[e] = False  # left cleared: its caller drops e next or sets it again
     others = []
     for x in ws.inc[u]:
         if edge_live[x]:

@@ -105,6 +105,14 @@ class TestCount:
         assert payload["m"] == 1 and payload["n"] == 2
         assert payload["isolated"] is False
 
+    def test_an_epsilon_whose_reciprocal_overflows(self, capsys, tmp_path):
+        # 6 / 1e-320 is inf in floats; the depth budget is taken from logs instead
+        path = tmp_path / "single.graph"
+        path.write_text("v 0\nv 1\ne 0 0 1\n")
+        code, out, _ = run_cli(capsys, "count", str(path), "--epsilon", "1e-320")
+        assert code == 0
+        assert json.loads(out)["count"] == 1.0
+
     def test_c4_fields(self, capsys, c4_file):
         _, out, _ = run_cli(capsys, "count", c4_file, "--epsilon", "0.1")
         payload = json.loads(out)

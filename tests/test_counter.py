@@ -21,6 +21,12 @@ class TestDepthFor:
     def test_hundred_edges(self):
         assert depth_for(100, 0.1) == 13
 
+    def test_an_epsilon_whose_reciprocal_overflows(self):
+        # 6 / eps is inf below about 3.3e-308; the budget is still an int, and grows with 1/eps
+        assert math.isinf(6.0 / 1e-320)
+        assert depth_for(10, 1e-320) == math.ceil(math.log2(10) + math.log2(6.0) - math.log2(1e-320))
+        assert depth_for(1, 4e-308) < depth_for(1, 1e-320) < depth_for(1, 5e-324)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             depth_for(0, 0.5)
@@ -170,7 +176,7 @@ def graph_view(g):
 
 
 class TestSharedWorkspace:
-    def test_recurse_restores_every_flag(self):
+    def test_recurse_clears_its_own_flag_and_restores_every_other(self):
         # parallel (0, 3), dangling (4) and free (5) edges; every top-level
         # call, on the fresh workspace and after each conditioning step
         g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 1), (1,), ()])
@@ -186,8 +192,10 @@ class TestSharedWorkspace:
                     for depth in depths:
                         edge_live, vert_live = list(ws.edge_live), list(ws.vert_live)
                         _recurse(ws, e, depth)
+                        edge_live[e] = False
                         assert ws.edge_live == edge_live
                         assert ws.vert_live == vert_live
+                        ws.edge_live[e] = True
                     ws.condition(e)
 
     def test_condition_leaves_the_next_chain_graph(self):
