@@ -12,7 +12,10 @@ twice, or a run with no side or no instance, is an error before anything
 runs.  Each side's ``SRC/covercount`` is imported into this interpreter as
 ``covercount_side<i>``, ``i`` its position, so a tree must import its own
 modules relatively.  Each instance (``cycle<n>``, ``grid<r>x<c>``, ``k<n>``,
-``multi<seed>`` or ``verify<seed>``) runs in ``ROUNDS`` rounds.
+``k<a>x<b>``, ``multi<seed>`` or ``verify<seed>``) runs in ``ROUNDS`` rounds.
+``k<a>x<b>`` is the complete bipartite graph K_{a,b}; its b-side
+vertices have degree a and its a-side ones degree b, so ``k2x70`` reaches
+sibling counts past the estimator's per-count tables.
 ``multi<seed>`` is the side's ``random_multigraph(seed, max_vertices=12,
 max_edges=40)``, which has the free, dangling and parallel edges that the
 other families lack.  A round is one run per side, back to back, the first
@@ -84,11 +87,14 @@ def build(side: ModuleType, instance: str):
         edges = [(i * c + j, i * c + j + 1) for i in range(r) for j in range(c - 1)]
         edges += [(i * c + j, (i + 1) * c + j) for i in range(r - 1) for j in range(c)]
         return Graph.from_edges(edges)
+    if name.startswith("k") and "x" in name:
+        a, b = (int(tok) for tok in name[1:].split("x"))
+        return Graph.from_edges([(i, a + j) for i in range(a) for j in range(b)])
     if name.startswith("k"):
         n = int(name[1:])
         return Graph.from_edges([(i, j) for i in range(n) for j in range(i + 1, n)])
     raise ValueError(
-        f"unknown instance {instance!r}; expected cycle<n>, grid<r>x<c>, k<n>, multi<seed> or verify<seed>"
+        f"unknown instance {instance!r}; expected cycle<n>, grid<r>x<c>, k<n>, k<a>x<b>, multi<seed> or verify<seed>"
     )
 
 

@@ -3,7 +3,7 @@ free edges: a deterministic truncated-recursion estimator with a
 guaranteed accuracy bound, an exact frontier dynamic-programming oracle,
 and a read-twice monotone CNF frontend.  Standard library only."""
 
-from .cnf import CnfFormatError, RtwMonCnf, count_solutions, parse_cnf, render_cnf, to_graph
+from .cnf import CnfFormatError, RtwMonCnf, parse_cnf, render_cnf, to_graph
 from .counter import ApproxCount, depth_for, estimate_count
 from .estimator import ContractViolationError, dangling_combine, estimate_marginal, normal_combine
 from .graph import EdgeKind, Graph, GraphFormatError, format_graph, parse_graph
@@ -22,7 +22,6 @@ __all__ = [
     "NoEdgeCoverError",
     "OracleSizeError",
     "RtwMonCnf",
-    "count_solutions",
     "dangling_combine",
     "depth_for",
     "estimate_count",

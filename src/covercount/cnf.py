@@ -3,14 +3,13 @@
 Clauses become vertices and variables become edges: a variable in two
 clauses is a normal edge between them, in one clause a dangling edge, in
 none a free edge.  Satisfying assignments biject with edge covers of the
-derived graph, so the approximate counter transfers directly.
+derived graph, so ``estimate_count(to_graph(phi), eps)`` counts them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counter import ApproxCount, estimate_count
 from .graph import Graph
 
 
@@ -108,14 +107,8 @@ def render_cnf(phi: RtwMonCnf) -> str:
 
 def to_graph(phi: RtwMonCnf) -> Graph:
     """Derived graph: vertex i per clause i, edge v-1 per variable v."""
-    where: dict[int, list[int]] = {v: [] for v in range(1, phi.num_vars + 1)}
+    where: list[list[int]] = [[] for _ in range(phi.num_vars)]  # clause indices per variable, ascending
     for i, clause in enumerate(phi.clauses):
         for var in clause:
-            where[var].append(i)
-    edges = [(var - 1, tuple(sorted(where[var]))) for var in range(1, phi.num_vars + 1)]
-    return Graph(range(len(phi.clauses)), edges)
-
-
-def count_solutions(phi: RtwMonCnf, eps: float) -> ApproxCount:
-    """Approximate number of satisfying assignments to relative accuracy eps."""
-    return estimate_count(to_graph(phi), eps)
+            where[var - 1].append(i)
+    return Graph(range(len(phi.clauses)), enumerate(where))

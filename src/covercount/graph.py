@@ -79,20 +79,14 @@ class Graph:
         return g
 
     @classmethod
-    def from_edges(
-        cls,
-        endpoint_lists: Iterable[Sequence[int]],
-        extra_vertices: Iterable[int] = (),
-    ) -> "Graph":
+    def from_edges(cls, endpoint_lists: Iterable[Sequence[int]]) -> "Graph":
         """Build a graph assigning dense edge ids 0..m-1 in input order.
 
-        The vertex set is the union of all endpoints plus ``extra_vertices``.
+        The vertex set is the union of all endpoints; ``Graph(vertices, edges)``
+        also takes vertices that no edge touches.
         """
-        edges = [(i, tuple(ends)) for i, ends in enumerate(endpoint_lists)]
-        vertices = set(extra_vertices)
-        for _, ends in edges:
-            vertices.update(ends)
-        return cls(vertices, edges)
+        edges = list(enumerate(endpoint_lists))
+        return cls({u for _, ends in edges for u in ends}, edges)
 
     # -- accessors ---------------------------------------------------------
 

@@ -36,7 +36,7 @@ def graphs(draw, max_vertices: int = 6, max_edges: int = 9) -> Graph:
             if v >= u:
                 v += 1
             ends.append((u, v))
-    return Graph.from_edges(ends, extra_vertices=range(n))
+    return Graph(range(n), list(enumerate(ends)))
 
 
 def seeded_multigraphs(count: int, max_edges: int = 14, seed: int = RANDOM_CORPUS_SEED):
@@ -58,6 +58,20 @@ def wide_frontier_graph(hubs: int) -> Graph:
     ``hubs``).  Every edge is a leaf's only edge, so the count is 1.
     """
     return Graph.from_edges([(i, hubs + i) for i in range(hubs)] + [(i, 2 * hubs + i) for i in range(hubs)])
+
+
+def complete_multigraph(n: int, t: int = 1, d: int = 0, f: int = 0) -> Graph:
+    """K_n on vertices 0..n-1 with t parallel edges per pair, then d dangling
+    edges at each vertex, then f free edges, ids 0..m-1 in that order."""
+    ends = [(i, j) for i in range(n) for j in range(i + 1, n) for _ in range(t)]
+    ends += [(v,) for v in range(n) for _ in range(d)]
+    ends += [()] * f
+    return Graph(range(n), list(enumerate(ends)))
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    """K_{a,b} with sides 0..a-1 and a..a+b-1, edges in row-major order."""
+    return Graph.from_edges([(i, a + j) for i in range(a) for j in range(b)])
 
 
 def independent_cover_count(g: Graph) -> int:

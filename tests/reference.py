@@ -5,7 +5,15 @@ workspace and never builds a subgraph.  This module spells the same
 recursion out over persistent ``Graph`` values: the chain subinstances
 of a dangling or normal edge, and ``reference_marginal``, which the
 tests pin the production recursion against bit for bit and, through
-its ``on_node`` hook, node for node.
+its ``on_node`` hook, node for node.  ``reference_bounds`` is the same
+recursion with a mode's leaf values: in exact rationals its lo and hi
+modes enclose the true marginal, the upper/lower-bound form of
+correlation decay.
+
+``complete_multigraph_count`` and ``complete_bipartite_count`` are
+exact edge-cover counts of complete families, which no degree bound and
+no frontier cap limit: inclusion-exclusion over the uncovered vertices,
+collapsed by symmetry.
 
 It also keeps ``sensitivity_bounds_suite`` in its ``randrange`` form,
 which the tests pin ``covercount.verify``'s inlined draws against,
@@ -20,9 +28,10 @@ import math
 import operator
 import random
 from itertools import accumulate
+from math import comb
 from typing import Optional
 
-from covercount.estimator import TraceFn, dangling_combine, normal_combine
+from covercount.estimator import ContractViolationError, TraceFn, dangling_combine, normal_combine
 from covercount.graph import EdgeKind, Graph
 from covercount.verify import FLOAT_SLACK, SuiteResult
 
@@ -134,6 +143,71 @@ def reference_marginal(g: Graph, e: int, depth: int, on_node: Optional[TraceFn] 
     y = math.prod(reference_marginal(sub, child, depth, on_node) for sub, child in second)
     z = math.prod(reference_marginal(sub, child, depth, on_node) for sub, child in third)
     return normal_combine(x, y, z)
+
+
+def reference_bounds(g: Graph, e: int, depth: int, a, b):
+    """The truncated recursion in mode (a, b), over persistent subgraphs.
+
+    a is the value a truncated node takes in this node's mode, b the one
+    in its children's.  A dangling node passes (b, a) to its children; a
+    normal root passes (b, a) to its X and Z families and (a, b) to its Y
+    family.  The dangling combinator decreases in its product and
+    ``normal_combine`` decreases in x and z and increases in y, so in
+    ``Fraction`` arithmetic mode (0, 1/2) is a lower and mode (1/2, 0) an
+    upper bound on the true marginal.  In a bound
+    mode (a != b) a normal root with an endpoint that has no other edge is
+    forced: e lies in every cover, so it is 0; left to the combinator, its
+    Y and Z ends would mix over one chain.  The constants 1/2 and 1 take
+    a's type, and every operation keeps the combinators' order, so with
+    floats a = b = 0.5 this is ``reference_marginal``, bit for bit.
+    """
+    if depth <= 0:
+        return a
+    one = type(a)(1)
+    kind = g.classify(e)
+    if kind is EdgeKind.FREE:
+        return one / 2
+    if kind is EdgeKind.DANGLING:
+        (u,) = g.endpoints(e)
+        child_depth = depth_discount(depth, len(g.incident_edges(u)) - 1)
+        prod = one
+        for sub, child in dangling_subinstances(g, e):
+            prod *= reference_bounds(sub, child, child_depth, b, a)
+        return (one - prod) / (one + one - prod)
+    first, second, third = normal_subinstances(g, e)
+    if a != b and not (first and third):
+        return 0 * one
+    x = y = z = one
+    for sub, child in first:
+        x *= reference_bounds(sub, child, depth, b, a)
+    for sub, child in second:
+        y *= reference_bounds(sub, child, depth, a, b)
+    for sub, child in third:
+        z *= reference_bounds(sub, child, depth, b, a)
+    denom = one + one + (x * y - x - z)
+    if denom < one:
+        raise ContractViolationError(f"denominator {denom!r} below 1 at edge {e}")
+    return one - one / denom
+
+
+def complete_multigraph_count(n: int, t: int = 1, d: int = 0, f: int = 0) -> int:
+    """Edge covers of K_n with t parallel edges per pair, d dangling edges
+    at each vertex and f free edges.
+
+    Leaving a set of j vertices uncovered leaves free choice over the
+    edges with no end in it: t * C(n - j, 2) normal, d * (n - j) dangling.
+    """
+    return 2**f * sum((-1) ** j * comb(n, j) * 2 ** (t * comb(n - j, 2) + d * (n - j)) for j in range(n + 1))
+
+
+def complete_bipartite_count(a: int, b: int) -> int:
+    """Edge covers of K_{a,b}: inclusion-exclusion over i uncovered vertices
+    on one side and j on the other, leaving (a - i)(b - j) edges free."""
+    return sum(
+        (-1) ** (i + j) * comb(a, i) * comb(b, j) * 2 ** ((a - i) * (b - j))
+        for i in range(a + 1)
+        for j in range(b + 1)
+    )
 
 
 def sensitivity_bounds_suite(seed: int, trials: int) -> list[SuiteResult]:

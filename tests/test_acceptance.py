@@ -11,6 +11,7 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
+from conftest import complete_bipartite, complete_multigraph
 from covercount.cnf import parse_cnf, to_graph
 from covercount.counter import depth_for, elimination_chain, estimate_count
 from covercount.estimator import depth_sweep, estimate_marginal
@@ -18,6 +19,7 @@ from covercount.generate import cycle_graph, random_multigraph
 from covercount.graph import EdgeKind, Graph
 from covercount.oracle import exact_count, exact_count_without, exact_marginal
 from covercount.verify import sensitivity_bounds_suite, run_verification
+from reference import complete_bipartite_count, complete_multigraph_count
 
 FLOAT_SLACK = 1e-9
 DEPTHS = range(0, 13)
@@ -254,6 +256,25 @@ def test_criterion_8_fptas_guarantee_at_scale():
     ok = all(low <= gap <= high for _, _, gap in rows)
     detail = " ".join(f"{name}:m={m}:log_ratio={gap:.3e}" for name, m, gap in rows)
     report(8, "fptas-guarantee-at-scale", ok, f"eps={SCALE_EPSILON} {detail}")
+
+
+def test_criterion_11_fptas_guarantee_at_unbounded_degree():
+    # dense graphs past the frontier DP's reach, against exact closed forms
+    instances = {
+        "k12": (complete_multigraph(12), complete_multigraph_count(12)),
+        "k6x6": (complete_bipartite(6, 6), complete_bipartite_count(6, 6)),
+        "k8x8": (complete_bipartite(8, 8), complete_bipartite_count(8, 8)),
+        "k3x30": (complete_bipartite(3, 30), complete_bipartite_count(3, 30)),
+        "k6t2d1f1": (complete_multigraph(6, t=2, d=1, f=1), complete_multigraph_count(6, t=2, d=1, f=1)),
+    }
+    low, high = math.log1p(-SCALE_EPSILON), math.log1p(SCALE_EPSILON)
+    rows = []
+    for name, (g, exact) in instances.items():
+        gap = estimate_count(g, SCALE_EPSILON).log_value - math.log(exact)
+        rows.append((name, g.edge_count, gap))
+    ok = all(low <= gap <= high for _, _, gap in rows)
+    detail = " ".join(f"{name}:m={m}:log_ratio={gap:.3e}" for name, m, gap in rows)
+    report(11, "fptas-guarantee-at-unbounded-degree", ok, f"eps={SCALE_EPSILON} {detail}")
 
 
 def test_verify_command_default_gate():

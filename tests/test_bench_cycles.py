@@ -1,6 +1,6 @@
 """scripts/bench_cycles.py names each side by its source content, loads each
 side's tree under its own name and runs that tree's code (its own generator
-for a ``multi<seed>`` instance), times one run per
+for a ``multi<seed>`` instance, its own ``Graph`` for a ``k<a>x<b>`` one), times one run per
 side per round, back to back, counts each graph only in the count it times, times
 ``run_verification`` for a ``verify<seed>`` instance, names every instance
 whose sides disagree, fails when a run fails, and refuses a side label given
@@ -161,7 +161,25 @@ def test_a_multi_instance_has_free_dangling_and_parallel_edges(bench):
 def test_an_unknown_instance_names_every_family(bench):
     with pytest.raises(ValueError) as raised:
         bench.build(bench.load(SRC, 0), "wheel5")
-    assert str(raised.value).endswith("expected cycle<n>, grid<r>x<c>, k<n>, multi<seed> or verify<seed>")
+    assert str(raised.value).endswith("expected cycle<n>, grid<r>x<c>, k<n>, k<a>x<b>, multi<seed> or verify<seed>")
+
+
+def test_a_complete_bipartite_instance_is_built_by_the_sides_own_graph(bench):
+    from covercount import counter, estimator
+    from covercount.graph import Graph
+
+    side = bench.load(SRC, 0)
+    g = bench.build(side, "k2x70")
+    want = Graph.from_edges([(i, 2 + j) for i in range(2) for j in range(70)])
+    assert type(g) is bench.module(side, "graph").Graph
+    assert g.vertices == want.vertices and [g.endpoints(e) for e in g.edge_ids] == [
+        want.endpoints(e) for e in want.edge_ids
+    ]
+    # what the base-vs-change gate runs it for: a vertex whose siblings outnumber the kernel's tables
+    assert len(g.incident_edges(0)) - 1 >= estimator._TABLE_SIZE
+    row = bench.measure(side, "k2x70")
+    result = counter.estimate_count(want, bench.EPSILON)
+    assert (row["m"], row["nodes"], row["value_hex"]) == (140, result.nodes, result.value.hex())
 
 
 @pytest.mark.parametrize("instance", ["cycle7", "k5"])

@@ -24,7 +24,13 @@ from covercount.generate import random_multigraph
 from covercount.graph import EdgeKind, Graph
 from covercount.oracle import exact_count, exact_marginal
 from covercount.verify import exhaustive_small_graphs
-from reference import dangling_subinstances, depth_discount, normal_subinstances, reference_marginal
+from reference import (
+    dangling_subinstances,
+    depth_discount,
+    normal_subinstances,
+    reference_bounds,
+    reference_marginal,
+)
 
 FLOAT_SLACK = 1e-9
 
@@ -533,6 +539,53 @@ class TestDecayBounds:
             for e in g.edge_ids:
                 for depth in (0, 2, 5, 9):
                     assert 0.0 <= estimate_marginal(g, e, depth) <= 0.5
+
+
+class TestEnclosure:
+    """``reference_bounds`` in exact rationals against the oracle's exact
+    marginals, over every small simple graph and random multigraphs."""
+
+    HALF = Fraction(1, 2)
+    SLACK = Fraction(1, 2**48)  # the float point's distance from the exact enclosure
+
+    def test_lo_and_hi_enclose_the_exact_marginal_and_the_point(self):
+        graphs = exhaustive_small_graphs() + [random_multigraph(s, max_edges=12) for s in range(7000, 7050)]
+        checks = 0
+        misses = []
+        for g in graphs:
+            z, without = oracle.exact_count_without(g)
+            if z == 0:
+                continue
+            for e in g.edge_ids:
+                exact = Fraction(without[e], z)
+                # the decay lemma bounds each end by 3/2^(L+1), or 1/2^(L+1) at a dangling or free root
+                reach = 3 if g.classify(e) is EdgeKind.NORMAL else 1
+                for depth in range(7):
+                    lo = reference_bounds(g, e, depth, Fraction(0), self.HALF)
+                    hi = reference_bounds(g, e, depth, self.HALF, Fraction(0))
+                    point = estimate_marginal(g, e, depth)
+                    checks += 1
+                    if not lo <= exact <= hi:
+                        misses.append(("exact", g, e, depth, lo, exact, hi))
+                    if not lo - self.SLACK <= Fraction(point) <= hi + self.SLACK:
+                        misses.append(("point", g, e, depth, lo, point, hi))
+                    if hi - lo > reach * self.HALF**depth:
+                        misses.append(("width", g, e, depth, lo, hi))
+        assert checks > 3000
+        assert misses == []
+
+    def test_the_float_point_mode_is_the_kernel_bit_for_bit(self):
+        for g in seeded_multigraphs(60, max_edges=12):
+            for e in g.edge_ids:
+                for depth in (0, 1, 2, 4):
+                    assert reference_bounds(g, e, depth, 0.5, 0.5) == estimate_marginal(g, e, depth)
+
+    def test_a_forced_normal_root_is_zero_in_either_bound_mode(self):
+        # vertex 0 has no edge but e = 0; the true marginal is 0
+        g = Graph.from_edges([(0, 1), (1, 2), (1, 2), (2,)])
+        for a, b in ((Fraction(0), self.HALF), (self.HALF, Fraction(0))):
+            assert reference_bounds(g, 0, 3, a, b) == 0
+        assert exact_marginal(g, 0) == 0
 
 
 class TestSensitivityBounds:

@@ -2,11 +2,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    complete_bipartite,
+    complete_multigraph,
     fibonacci,
     graphs,
     independent_cover_count,
@@ -20,7 +23,9 @@ from conftest import (
 from covercount.generate import cycle_graph
 from covercount.graph import EdgeKind, Graph
 from covercount.oracle import NoEdgeCoverError, OracleSizeError, exact_count, exact_count_without, exact_marginal
-from reference import dangling_subinstances, frontier_width
+from reference import complete_bipartite_count, complete_multigraph_count, dangling_subinstances, frontier_width
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def c4() -> Graph:
@@ -270,6 +275,32 @@ class TestFrontierDp:
     def test_paths_are_fibonacci_numbers(self):
         for n in [*range(2, 61), 2000]:
             assert exact_count(path_graph(n)) == fibonacci(n - 1)
+
+
+class TestClosedForms:
+    """The complete families' closed forms, against the DP and perfbench's
+    general inclusion-exclusion sum."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_complete_multigraphs_match_the_dp(self, n):
+        for t in (1, 2):
+            for d in (0, 1, 2):
+                for f in (0, 1):
+                    assert complete_multigraph_count(n, t, d, f) == exact_count(complete_multigraph(n, t, d, f))
+
+    def test_complete_bipartite_graphs_match_the_dp(self):
+        for a in range(1, 4):
+            for b in range(1, 5):
+                assert complete_bipartite_count(a, b) == exact_count(complete_bipartite(a, b))
+
+    @pytest.mark.parametrize("n, t, d, f", [(6, 1, 0, 0), (7, 1, 0, 0), (6, 2, 1, 1), (7, 1, 2, 0)])
+    def test_complete_multigraphs_match_the_vertex_inclusion_exclusion(self, monkeypatch, n, t, d, f):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import exact
+
+        g = complete_multigraph(n, t, d, f)
+        edges = [g.endpoints(e) for e in g.edge_ids]
+        assert complete_multigraph_count(n, t, d, f) == exact.vertex_inclusion_exclusion(n, edges)
 
 
 def test_import_pulls_in_no_numpy():
