@@ -5,10 +5,9 @@ workspace and never builds a subgraph.  This module spells the same
 recursion out over persistent ``Graph`` values: the chain subinstances
 of a dangling or normal edge, and ``reference_marginal``, which the
 tests pin the production recursion against bit for bit and, through
-its ``on_node`` hook, node for node.  ``reference_bounds`` is the same
-recursion with a mode's leaf values: in exact rationals its lo and hi
-modes enclose the true marginal, the upper/lower-bound form of
-correlation decay.
+its ``on_node`` hook, node for node.  Its truncated leaves take a
+mode's values: in exact rationals its lo and hi modes enclose the true
+marginal, the upper/lower-bound form of correlation decay.
 
 ``complete_multigraph_count`` and ``complete_bipartite_count`` are
 exact edge-cover counts of complete families, which no degree bound and
@@ -113,40 +112,14 @@ def normal_subinstances(
     return first, second, third
 
 
-def reference_marginal(g: Graph, e: int, depth: int, on_node: Optional[TraceFn] = None) -> float:
-    """Plain persistent-graph transcription of the truncated recursion.
+def reference_marginal(g: Graph, e: int, depth: int, on_node: Optional[TraceFn] = None, a=0.5, b=0.5):
+    """The truncated recursion in mode (a, b), over persistent subgraphs.
 
     Independent of the workspace-based implementation; used to pin the
     production recursion to the subinstance builders above.  ``on_node``,
     if given, receives (depth, edge, kind, branch) for every node in the
     order the recursion visits them: a node before its children, and a
     normal node's X family before its Y family before its Z family.
-    """
-    kind = g.classify(e)
-    if depth <= 0:
-        if on_node is not None:
-            on_node(depth, e, kind, "base")
-        return 0.5
-    if on_node is not None:
-        on_node(depth, e, kind, kind.value)  # the branch is named after the kind
-    if kind is EdgeKind.FREE:
-        return 0.5
-    if kind is EdgeKind.DANGLING:
-        (u,) = g.endpoints(e)
-        d = len(g.incident_edges(u)) - 1
-        child_depth = depth_discount(depth, d)
-        return dangling_combine(
-            [reference_marginal(sub, child, child_depth, on_node) for sub, child in dangling_subinstances(g, e)]
-        )
-    first, second, third = normal_subinstances(g, e)
-    x = math.prod(reference_marginal(sub, child, depth, on_node) for sub, child in first)
-    y = math.prod(reference_marginal(sub, child, depth, on_node) for sub, child in second)
-    z = math.prod(reference_marginal(sub, child, depth, on_node) for sub, child in third)
-    return normal_combine(x, y, z)
-
-
-def reference_bounds(g: Graph, e: int, depth: int, a, b):
-    """The truncated recursion in mode (a, b), over persistent subgraphs.
 
     a is the value a truncated node takes in this node's mode, b the one
     in its children's.  A dangling node passes (b, a) to its children; a
@@ -154,17 +127,22 @@ def reference_bounds(g: Graph, e: int, depth: int, a, b):
     family.  The dangling combinator decreases in its product and
     ``normal_combine`` decreases in x and z and increases in y, so in
     ``Fraction`` arithmetic mode (0, 1/2) is a lower and mode (1/2, 0) an
-    upper bound on the true marginal.  In a bound
-    mode (a != b) a normal root with an endpoint that has no other edge is
-    forced: e lies in every cover, so it is 0; left to the combinator, its
-    Y and Z ends would mix over one chain.  The constants 1/2 and 1 take
-    a's type, and every operation keeps the combinators' order, so with
-    floats a = b = 0.5 this is ``reference_marginal``, bit for bit.
+    upper bound on the true marginal.  In a bound mode (a != b) a normal
+    root with an endpoint that has no other edge is forced: e lies in
+    every cover, so it is 0; left to the combinator, its Y and Z ends
+    would mix over one chain.  The constants 1/2 and 1 take a's type, and
+    every operation keeps the combinators' order, so the default float
+    mode (0.5, 0.5) is the point recursion of ``estimate_marginal``, bit
+    for bit.
     """
-    if depth <= 0:
-        return a
-    one = type(a)(1)
     kind = g.classify(e)
+    if depth <= 0:
+        if on_node is not None:
+            on_node(depth, e, kind, "base")
+        return a
+    if on_node is not None:
+        on_node(depth, e, kind, kind.value)  # the branch is named after the kind
+    one = type(a)(1)
     if kind is EdgeKind.FREE:
         return one / 2
     if kind is EdgeKind.DANGLING:
@@ -172,18 +150,18 @@ def reference_bounds(g: Graph, e: int, depth: int, a, b):
         child_depth = depth_discount(depth, len(g.incident_edges(u)) - 1)
         prod = one
         for sub, child in dangling_subinstances(g, e):
-            prod *= reference_bounds(sub, child, child_depth, b, a)
+            prod *= reference_marginal(sub, child, child_depth, on_node, b, a)
         return (one - prod) / (one + one - prod)
     first, second, third = normal_subinstances(g, e)
     if a != b and not (first and third):
         return 0 * one
     x = y = z = one
     for sub, child in first:
-        x *= reference_bounds(sub, child, depth, b, a)
+        x *= reference_marginal(sub, child, depth, on_node, b, a)
     for sub, child in second:
-        y *= reference_bounds(sub, child, depth, a, b)
+        y *= reference_marginal(sub, child, depth, on_node, a, b)
     for sub, child in third:
-        z *= reference_bounds(sub, child, depth, b, a)
+        z *= reference_marginal(sub, child, depth, on_node, b, a)
     denom = one + one + (x * y - x - z)
     if denom < one:
         raise ContractViolationError(f"denominator {denom!r} below 1 at edge {e}")

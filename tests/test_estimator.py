@@ -23,16 +23,13 @@ from covercount.estimator import (
 from covercount.generate import random_multigraph
 from covercount.graph import EdgeKind, Graph
 from covercount.oracle import exact_count, exact_marginal
-from covercount.verify import exhaustive_small_graphs
+from covercount.verify import FLOAT_SLACK, exhaustive_small_graphs
 from reference import (
     dangling_subinstances,
     depth_discount,
     normal_subinstances,
-    reference_bounds,
     reference_marginal,
 )
-
-FLOAT_SLACK = 1e-9
 
 
 class TestDanglingCombine:
@@ -501,10 +498,10 @@ class TestDecayBounds:
             if exact_count(g) == 0:
                 continue
             for e in g.edge_ids:
-                exact = float(exact_marginal(g, e))
+                exact = exact_marginal(g, e)
                 for depth in range(0, 13):
-                    err = abs(estimate_marginal(g, e, depth) - exact)
-                    assert err <= 3 * 0.5 ** (depth + 1) + FLOAT_SLACK
+                    err = abs(Fraction(estimate_marginal(g, e, depth)) - exact)
+                    assert err <= 3 * 0.5 ** (depth + 1)
 
     def test_sharper_bound_for_dangling_and_free(self):
         rng = random.Random(43)
@@ -515,10 +512,10 @@ class TestDecayBounds:
             for e in g.edge_ids:
                 if g.classify(e) is EdgeKind.NORMAL:
                     continue
-                exact = float(exact_marginal(g, e))
+                exact = exact_marginal(g, e)
                 for depth in range(0, 13):
-                    err = abs(estimate_marginal(g, e, depth) - exact)
-                    assert err <= 0.5 ** (depth + 1) + FLOAT_SLACK
+                    err = abs(Fraction(estimate_marginal(g, e, depth)) - exact)
+                    assert err <= 0.5 ** (depth + 1)
 
     def test_full_depth_is_exact_on_acyclic_instances(self):
         from covercount.generate import star_graph
@@ -542,8 +539,9 @@ class TestDecayBounds:
 
 
 class TestEnclosure:
-    """``reference_bounds`` in exact rationals against the oracle's exact
-    marginals, over every small simple graph and random multigraphs."""
+    """``reference_marginal``'s bound modes in exact rationals against the
+    oracle's exact marginals, over every small simple graph and random
+    multigraphs."""
 
     HALF = Fraction(1, 2)
     SLACK = Fraction(1, 2**48)  # the float point's distance from the exact enclosure
@@ -561,8 +559,8 @@ class TestEnclosure:
                 # the decay lemma bounds each end by 3/2^(L+1), or 1/2^(L+1) at a dangling or free root
                 reach = 3 if g.classify(e) is EdgeKind.NORMAL else 1
                 for depth in range(7):
-                    lo = reference_bounds(g, e, depth, Fraction(0), self.HALF)
-                    hi = reference_bounds(g, e, depth, self.HALF, Fraction(0))
+                    lo = reference_marginal(g, e, depth, a=Fraction(0), b=self.HALF)
+                    hi = reference_marginal(g, e, depth, a=self.HALF, b=Fraction(0))
                     point = estimate_marginal(g, e, depth)
                     checks += 1
                     if not lo <= exact <= hi:
@@ -578,13 +576,13 @@ class TestEnclosure:
         for g in seeded_multigraphs(60, max_edges=12):
             for e in g.edge_ids:
                 for depth in (0, 1, 2, 4):
-                    assert reference_bounds(g, e, depth, 0.5, 0.5) == estimate_marginal(g, e, depth)
+                    assert reference_marginal(g, e, depth, a=0.5, b=0.5) == estimate_marginal(g, e, depth)
 
     def test_a_forced_normal_root_is_zero_in_either_bound_mode(self):
         # vertex 0 has no edge but e = 0; the true marginal is 0
         g = Graph.from_edges([(0, 1), (1, 2), (1, 2), (2,)])
         for a, b in ((Fraction(0), self.HALF), (self.HALF, Fraction(0))):
-            assert reference_bounds(g, 0, 3, a, b) == 0
+            assert reference_marginal(g, 0, 3, a=a, b=b) == 0
         assert exact_marginal(g, 0) == 0
 
 

@@ -106,6 +106,30 @@ def test_half_bound_fails_an_estimate_one_ulp_above_one_half(monkeypatch):
     assert results["half-bound"].detail == f"max_estimate={above!r} min_estimate=0.5"
 
 
+@pytest.mark.parametrize(
+    "depth, bound, failing",
+    [
+        (1, verify._SHARP_BOUND[1], {"decay-bound-dangling-free"}),
+        # at depth 3 the float error is also above the sharp bound, 1/16
+        (3, verify._DECAY_BOUND[3], {"decay-bound", "decay-bound-dangling-free"}),
+    ],
+    ids=["sharp", "decay"],
+)
+def test_decay_suites_fail_an_error_past_its_bound_that_the_float_error_meets(monkeypatch, depth, bound, failing):
+    # edge 0's exact marginal is 1/3; an estimate fl(1/3) - bound has float error exactly the bound (1/4 at
+    # depth 1, 3/16 at depth 3), but exact error bound + (1/3 - fl(1/3)), about 1.9e-17 above it
+    g = Graph.from_edges([(0,), (0,)])
+    sweep = verify.depth_sweep
+    low = 1 / 3 - bound
+    monkeypatch.setattr(verify, "verification_corpus", lambda *_: [g])
+    monkeypatch.setattr(verify, "depth_sweep", lambda *a: [low if L == depth else v for L, v in enumerate(sweep(*a))])
+
+    results = verify.run_verification(trials=1)
+
+    assert abs(low - 1 / 3) == bound
+    assert {r.name for r in results if not r.passed} == failing
+
+
 def test_a_corpus_past_the_default_oracle_cap_passes():
     results = verify.run_verification(max_edges=30, instances=40, trials=1)
 
