@@ -3,12 +3,16 @@
 #
 # Checks that this tree's src gives the same results as BASE_SRC, the src directory of a base
 # commit (for instance `git archive <base> src | tar -x -C <dir>`, then <dir>/src).  Exits 1 on
-# the first difference.  Four checks:
+# the first difference.  Five checks:
 # - scripts/bench_cycles.py with the two trees as its sides on cycle12, k5, grid3x3, multi3, multi4
 #   and k2x70: it exits nonzero when the sides disagree on any node count, value or marginal, so
 #   the default path stays bit-identical; the multi<seed> graphs add the free, dangling and
 #   parallel edges that the other three lack, and k2x70's degree-70 vertices the sibling counts
 #   past the kernel's per-count tables;
+# - the traced count, estimate_count(g, 0.2, on_node=...), on cycle12, k5, grid3x3, multi3 and
+#   multi4: the sha256 of the hook stream, the node count and the value's hex must match the
+#   base's, so a count's hook stream cannot move, the calls of a subtree the chain replays
+#   included, which no single marginal reaches;
 # - verify's report at seeds 1 and 2: every suite line of the base but its total must appear byte
 #   for byte in the change's, so a suite's result cannot move, while a change may add suites;
 # - marginal --trace on the multi<seed> graphs and K_{2,70} at a few edges and depths: stdout and
@@ -32,6 +36,35 @@ trap 'rm -rf "$tmp"' EXIT
 if ! python3 scripts/bench_cycles.py --side base="$base" --side change=src \
   --instances cycle12,k5,grid3x3,multi3,multi4,k2x70 > /dev/null 2> "$tmp/bench.err"; then
   cat "$tmp/bench.err" >&2
+  exit 1
+fi
+
+# each tree's own graphs and counter, through bench_cycles.py's loader
+traced_counts() {
+  python3 - "$1" <<'EOF'
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, "scripts")
+from bench_cycles import build, load, module
+
+side = load(Path(sys.argv[1]), 0)
+for instance in ("cycle12", "k5", "grid3x3", "multi3", "multi4"):
+    stream = hashlib.sha256()
+
+    def hook(depth, edge, kind, branch):
+        stream.update(f"{depth} {edge} {kind.name} {branch}\n".encode())
+
+    result = module(side, "counter").estimate_count(build(side, instance), 0.2, on_node=hook)
+    print(instance, stream.hexdigest(), result.nodes, result.value.hex())
+EOF
+}
+traced_counts "$base" > "$tmp/base.txt"
+traced_counts "$PWD/src" > "$tmp/change.txt"
+if ! cmp -s "$tmp/base.txt" "$tmp/change.txt"; then
+  printf 'traced count: hook stream, node count or value differs from the base\n'
+  diff "$tmp/base.txt" "$tmp/change.txt" || true
   exit 1
 fi
 

@@ -52,8 +52,12 @@ bit.
 
 ``chain_marginals(g, depth)`` runs the same recursion for every edge of
 the counter's elimination order on one shared workspace, conditioning
-each edge in place (clearing its flags for good) once it is estimated,
-and counts the nodes it visits: one per ``on_node`` call, hook or not.
+each edge in place (clearing its flags for good) once it is estimated.
+A normal root's first X or Z child that is the next edge is the next
+step's whole tree (``_ahead``): that step takes its kept value and node
+count and replays its hook calls, without walking it again.  The node
+count is the size of the computation trees, one per ``on_node`` call,
+hook or not, walked or replayed.
 
 ``depth_sweep(g, e, max_depth)`` gives the estimates at every depth
 0..max_depth.  Error enters only at truncated leaves (``depth <= 0``),
@@ -146,11 +150,13 @@ class _Workspace:
     ``truncated`` is set whenever a truncated leaf is reached, by the root
     dispatch for a root at depth <= 0 and by the kernel for a node whose
     children are all truncated, and is never cleared by the recursion.
-    ``nodes`` counts the nodes visited, one per ``on_node`` call a hook
-    would see.
+    ``nodes`` counts the computation-tree nodes, one per ``on_node`` call a
+    hook would see, walked or replayed.  ``ahead`` is None or the
+    ``(number, depth, value, nodes, calls)`` that ``_ahead`` last kept,
+    ``calls`` empty without a hook.
     """
 
-    __slots__ = ("ids", "ends", "far", "inc", "edge_live", "vert_live", "truncated", "nodes", "on_node")
+    __slots__ = ("ids", "ends", "far", "inc", "edge_live", "vert_live", "truncated", "nodes", "on_node", "ahead")
 
     def __init__(self, g: Graph, on_node: Optional[TraceFn] = None):
         emap = g._edges
@@ -174,6 +180,7 @@ class _Workspace:
         self.truncated = False
         self.nodes = 0
         self.on_node = on_node
+        self.ahead = None
 
     def number(self, e: int) -> int:
         """The number of edge id e; ``KeyError`` if e is not an edge of the graph."""
@@ -230,7 +237,7 @@ def _recurse(ws: _Workspace, e: int, depth: int) -> float:
 
     x = 1.0  # each child comes back cleared
     for child in at_u:
-        x *= _recurse(ws, child, depth)
+        x *= _ahead(ws, child, depth) if child == e + 1 else _recurse(ws, child, depth)
     y = 1.0
     for child in at_v:
         if not edge_live[child]:
@@ -242,11 +249,32 @@ def _recurse(ws: _Workspace, e: int, depth: int) -> float:
         edge_live[child] = True
     z = 1.0
     for child in at_v:
-        z *= _recurse(ws, child, depth)
+        z *= _ahead(ws, child, depth) if child == e + 1 else _recurse(ws, child, depth)
     for child in at_v:
         edge_live[child] = True
     vert_live[u] = vert_live[v] = True
     return normal_combine(x, y, z)
+
+
+def _ahead(ws: _Workspace, e: int, depth: int) -> float:
+    # _recurse for a normal root's X or Z child e, the root's edge + 1, keeping its value, node
+    # count and hook calls for chain_marginals.  At chain step e - 1 every live edge is numbered
+    # above e - 1, so e is the first X or Z child: it runs with only the root's edge and ends
+    # cleared, as condition(e - 1) leaves them, and at the step's depth, so its tree is step e's.
+    nodes = ws.nodes
+    on_node = ws.on_node
+    calls = []
+    if on_node is not None:
+
+        def record(*call):
+            calls.append(call)
+            on_node(*call)
+
+        ws.on_node = record
+    value = _recurse(ws, e, depth)
+    ws.on_node = on_node
+    ws.ahead = (e, depth, value, ws.nodes - nodes, calls)
+    return value
 
 
 def _dangling(ws: _Workspace, e: int, u: int, depth: int) -> float:
@@ -344,11 +372,20 @@ def chain_marginals(
     ``[(e, estimate_marginal(h, e, depth, on_node)) for h, e in
     elimination_chain(g)]`` bit for bit, node for node.  It runs on one
     workspace built once: after each estimate the edge is conditioned in
-    place, which keeps the whole chain O(n + m) outside the recursion.
+    place, which keeps the whole chain O(n + m) outside the recursion.  A
+    step that the previous root kept (``_ahead``) is replayed, not walked.
     """
     ws = _Workspace(g, on_node)
     out = []
     for i, e in enumerate(ws.ids):
-        out.append((e, _recurse(ws, i, depth)))
+        ahead, ws.ahead = ws.ahead, None
+        if ahead is not None and ahead[:2] == (i, depth):
+            _, _, p, nodes, calls = ahead
+            ws.nodes += nodes
+            for call in calls:
+                on_node(*call)
+        else:
+            p = _recurse(ws, i, depth)
+        out.append((e, p))
         ws.condition(i)
     return out, ws.nodes

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import lucas, random_small_graph
 from covercount.counter import depth_for, elimination_chain, estimate_count
-from covercount.estimator import _recurse, _Workspace, estimate_marginal
+from covercount.estimator import _recurse, _Workspace, chain_marginals, estimate_marginal
 from covercount.generate import cycle_graph, random_multigraph
 from covercount.graph import Graph
 from covercount.oracle import exact_count
@@ -185,6 +185,7 @@ class TestSharedWorkspace:
         # child truncated, and the traced form of that case classifies each
         # child while the hub is still live
         star = Graph.from_edges([(0,), *((0, i) for i in range(1, 9)), (0, 1), (0, 2), (3,)])
+        kept = 0
         for graph, depths in ((g, (0, 1, 2, 5, 9)), (star, (1, 2, 3))):
             for on_node in (None, lambda *a: None):
                 ws = _Workspace(graph, on_node)
@@ -195,8 +196,30 @@ class TestSharedWorkspace:
                         edge_live[e] = False
                         assert ws.edge_live == edge_live
                         assert ws.vert_live == vert_live
+                        # a kept child ran under a recording hook; the caller's own is back
+                        assert ws.on_node is on_node
+                        kept += ws.ahead is not None
+                        ws.ahead = None
                         ws.edge_live[e] = True
                     ws.condition(e)
+        assert kept
+
+    def test_no_kept_entry_outlives_the_step_after_it(self, monkeypatch):
+        # when step i conditions its edge, the only entry left is the one step i kept for step i + 1
+        seen = []
+        condition = _Workspace.condition
+
+        def checked(ws, e):
+            assert ws.ahead is None or ws.ahead[0] == e + 1
+            seen.append(ws.ahead is not None)
+            condition(ws, e)
+
+        monkeypatch.setattr(_Workspace, "condition", checked)
+        for seed in range(40):
+            g = random_multigraph(seed, max_edges=14)
+            for on_node in (None, lambda *a: None):
+                chain_marginals(g, 5, on_node)
+        assert any(seen) and not all(seen)
 
     def test_condition_leaves_the_next_chain_graph(self):
         g = random_multigraph(1656, max_edges=14)

@@ -317,6 +317,54 @@ class TestDepthSweep:
             assert 0 < swept < nodes
 
 
+class TestNextStepKept:
+    """A normal root's first X or Z child that is the chain's next edge is that step's whole tree."""
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],  # K4: edge 1 is edge 0's first X child
+            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],  # path: edge 1 meets edge 0 at v, the first Z child
+            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],  # cycle: edge 1 the first Z child, after X's edge 4
+            [(0, 1), (0, 1), (1, 2), (0, 2), (2, 3)],  # edge 1 a parallel copy of edge 0
+            [(0, 1), (2, 3), (1, 2), (0, 3), (1, 3)],  # edge 1 meets neither end of edge 0
+        ],
+        ids=["k4", "path6", "cycle5", "parallel", "disjoint"],
+    )
+    def test_chain_matches_the_reference_chain(self, edges):
+        g = Graph.from_edges(edges)
+        steps = elimination_chain(g)
+        for depth in range(8):
+            got, want = [], []
+            marginals, nodes = estimator.chain_marginals(g, depth, lambda *a: got.append(a))
+            expected = [(e, reference_marginal(h, e, depth, lambda *a: want.append(a))) for h, e in steps]
+            assert [(e, p.hex()) for e, p in marginals] == [(e, p.hex()) for e, p in expected]
+            assert got == want
+            assert nodes == len(want)
+
+    @pytest.mark.parametrize(
+        "edges, entered",
+        [([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 1), ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], 2)],
+        ids=["k4", "path6"],
+    )
+    def test_the_next_root_is_not_entered(self, edges, entered, monkeypatch):
+        # edge 1 is entered as edge 0's first X child (K4), or as its Y and then its first Z child
+        # (path), and not again as step 1's root
+        g = Graph.from_edges(edges)
+        roots = []  # the edge number of every _recurse call
+        recurse = estimator._recurse
+
+        def logged(ws, e, depth):
+            roots.append(e)
+            return recurse(ws, e, depth)
+
+        monkeypatch.setattr(estimator, "_recurse", logged)
+        for on_node in (None, lambda *a: None):
+            roots.clear()
+            estimator.chain_marginals(g, 4, on_node)
+            assert roots.count(1) == entered
+
+
 class TestScatteredIds:
     """Ids far from 0..m-1 are renumbered inside the workspace and nowhere else."""
 
