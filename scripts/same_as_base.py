@@ -1,0 +1,138 @@
+"""Checks that this tree's ``src`` gives the same results as BASE_SRC, the ``src``
+directory of a base commit:
+
+    mkdir -p ../parent && git archive <base> src | tar -x -C ../parent
+    python3 scripts/same_as_base.py ../parent/src
+
+Both trees are imported into one interpreter by ``bench_cycles.py``'s
+``load``, and each writes a report of keyed lines:
+
+- ``count <inst>``: the value's hex, node count and marginals digest of
+  ``estimate_count(g, 0.2)`` (``bench_cycles.measure``) on cycle12, k5, grid3x3,
+  multi3, multi4 and k2x70, each graph built by the tree's own code.  The
+  multi<seed> graphs have the free, dangling and parallel edges the other
+  families lack, and K_{2,70} sibling counts past the kernel's tables;
+- ``traced <inst>``: the same count with a hook on cycle12, k5, grid3x3, multi3
+  and multi4: the sha256 of the hook stream, the node count and the value's
+  hex, so the calls of a subtree the chain replays cannot move either;
+- ``verify --seed 1|2``: the exit code, so a change cannot add a failing
+  suite, and every suite line of the report but its ``total``;
+- ``cli <argv>``: the exit code and the sha256 of stdout and of stderr of
+  ``cli.main(argv)``, run in process, on files written once with this tree's
+  code: ``marginal --trace`` on multi3, multi4 and K_{2,70} at edges 0, 5 and
+  11 and depths 2 and 4 (at depth 2, K_{2,70} gives dangling nodes whose 69
+  children are all truncated); ``from-cnf --epsilon 0.2 --exact`` on a seeded
+  60-clause ring CNF from ``perfbench/gen.py`` and on a seeded read-twice CNF
+  with 12 clauses over 40 variables, rendered by ``render_cnf``, whose clauses
+  share variables in no fixed order, so ``to_graph``'s incidence order counts;
+  ``count --epsilon 0.2`` and ``exact`` on a seeded 4x5 grid written by
+  ``perfbench/gen.py``'s ``graph_file_text`` (permuted labels, shuffled lines)
+  and on multi3 with its lines shuffled, some normal edges' ends swapped, and
+  comments after items, on lines of their own and after blank lines.
+
+Every line of the base's report must appear byte for byte in this tree's, so
+nothing can move while a change may still add lines.  Each missing line is
+printed to stderr and the exit is 1; otherwise the exit is 0.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_cycles import build, load, measure, module, perfbench_gen
+
+COUNTED = ("cycle12", "k5", "grid3x3", "multi3", "multi4", "k2x70")
+TRACED = ("cycle12", "k5", "grid3x3", "multi3", "multi4")
+CNF_SEED = 1  # the read-twice CNF's clauses
+
+
+def write_inputs(side, tmp: Path) -> list[list[str]]:
+    """The input files, written with ``side``'s code, and the argv of every CLI run on them."""
+    format_graph, cnf, gen = module(side, "graph").format_graph, module(side, "cnf"), perfbench_gen()
+    for name in ("multi3", "multi4", "k2x70"):
+        (tmp / f"{name}.graph").write_text(format_graph(build(side, name)))
+    (tmp / "ring.cnf").write_text(gen.ring_cnf_text(gen.ring_privates(60, random.Random(31))))
+    rng = random.Random(CNF_SEED)
+    clauses = [set() for _ in range(12)]
+    for var in range(1, 41):  # each in two clauses
+        for i in rng.sample(range(12), 2):
+            clauses[i].add(var)
+    phi = cnf.RtwMonCnf(40, tuple(map(frozenset, clauses)))
+    (tmp / "rtw.cnf").write_text(cnf.render_cnf(phi))
+    (tmp / "grid.graph").write_text(gen.graph_file_text(20, gen.grid_edges(4, 5), random.Random(37)))
+    lines = (tmp / "multi3.graph").read_text().splitlines()
+    random.Random(5).shuffle(lines)
+    text = ["# multi3, its lines shuffled"]
+    for i, line in enumerate(lines):
+        tag, *ids = line.split()
+        if tag == "e" and i % 2:
+            line = f"e {ids[0]} {ids[2]} {ids[1]}"
+        text.append(f"{line}  # item {i}" if i % 3 else line)
+        if i % 7 == 0:
+            text.append("\n   # a comment after a blank line")
+    (tmp / "multi3c.graph").write_text("\n".join(text) + "\n")
+
+    runs = [
+        ["marginal", str(tmp / f"{name}.graph"), "--edge", str(e), "--depth", str(d), "--trace"]
+        for name in ("multi3", "multi4", "k2x70")
+        for e in (0, 5, 11)
+        for d in (2, 4)
+    ]
+    runs += [["from-cnf", str(tmp / name), "--epsilon", "0.2", "--exact"] for name in ("ring.cnf", "rtw.cnf")]
+    for name in ("grid.graph", "multi3c.graph"):
+        runs += [["count", str(tmp / name), "--epsilon", "0.2"], ["exact", str(tmp / name)]]
+    return runs + [["verify", "--seed", "1"], ["verify", "--seed", "2"]]
+
+
+def report(side, runs: list[list[str]], tmp: Path) -> list[str]:
+    """The side's report lines: its counts, traced counts, then one or more lines per CLI run."""
+    lines = []
+    for inst in COUNTED:
+        row = measure(side, inst)
+        lines.append(f"count {inst}: value {row['value_hex']} nodes {row['nodes']} marginals {row['marginals_sha256']}")
+    for inst in TRACED:
+        stream = hashlib.sha256()
+
+        def hook(depth, edge, kind, branch):
+            stream.update(f"{depth} {edge} {kind.name} {branch}\n".encode())
+
+        result = module(side, "counter").estimate_count(build(side, inst), 0.2, on_node=hook)
+        lines.append(f"traced {inst}: hooks {stream.hexdigest()} nodes {result.nodes} value {result.value.hex()}")
+    main = module(side, "cli").main
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        key = " ".join(argv).replace(f"{tmp}/", "")
+        if argv[0] == "verify":
+            lines.append(f"{key}: exit {code}")
+            lines += [f"{key}: {line}" for line in out.getvalue().splitlines() if line.split()[1] != "total"]
+        else:
+            out, err = (hashlib.sha256(buf.getvalue().encode()).hexdigest() for buf in (out, err))
+            lines.append(f"cli {key}: exit {code} stdout {out} stderr {err}")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or not (Path(argv[0]) / "covercount").is_dir():
+        print("usage: same_as_base.py BASE_SRC (a directory holding a covercount package)", file=sys.stderr)
+        return 2
+    base, change = load(Path(argv[0]), 0), load(Path(__file__).resolve().parents[1] / "src", 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = write_inputs(change, Path(tmp))
+        theirs, ours = report(base, runs, Path(tmp)), set(report(change, runs, Path(tmp)))
+    missing = [line for line in theirs if line not in ours]
+    for line in missing:
+        print(f"missing from the change's report: {line}", file=sys.stderr)
+    print(f"{len(theirs) - len(missing)} of {len(theirs)} base report lines found in the change's")
+    return 1 if missing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -55,13 +55,16 @@ class Graph:
                 raise ValueError(f"edge id must be a nonnegative integer, got {eid!r}")
             if eid in emap:
                 raise ValueError(f"duplicate edge id {eid}")
+            for u in ends:  # 1.0 and True equal a vertex id, but format_graph would write them as given
+                if not isinstance(u, int) or isinstance(u, bool):
+                    raise ValueError(f"edge {eid} references undeclared vertex {u}")
             ends = tuple(sorted(ends))
             if len(ends) > 2:
                 raise ValueError(f"edge {eid} has {len(ends)} endpoints, at most 2 allowed")
             if len(ends) == 2 and ends[0] == ends[1]:
                 raise ValueError(f"edge {eid} is a self-loop, which is rejected")
             for u in ends:
-                if u not in adj or isinstance(u, bool):  # True == 1, but no vertex id is a bool
+                if u not in adj:
                     raise ValueError(f"edge {eid} references undeclared vertex {u}")
                 adj[u].append(eid)
             emap[eid] = ends

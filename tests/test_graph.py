@@ -304,7 +304,9 @@ def test_the_first_fault_in_line_then_token_order_is_reported(text, message):
 
 
 class TestBoolIds:
-    # True == 1 and isinstance(True, int), but format_graph would write "True"
+    # True == 1 and isinstance(True, int), but format_graph would write "True"; an endpoint
+    # that only equals a vertex id (1.0) would be written as "1.0", and one that is no number
+    # at all would reach sorted()
 
     @pytest.mark.parametrize(
         "vertices, edges, message",
@@ -312,8 +314,12 @@ class TestBoolIds:
             ([True, 2], [(0, (True, 2))], "vertex id must be a nonnegative integer, got True"),
             ([0, 1], [(False, (0, 1))], "edge id must be a nonnegative integer, got False"),
             ([0, 1], [(0, (True, 0))], "edge 0 references undeclared vertex True"),
+            ([1, 2], [(0, (1.0, 2))], "edge 0 references undeclared vertex 1.0"),
+            ([0, 1], [(0, (0, 1.0)), (1, (0, 1))], "edge 0 references undeclared vertex 1.0"),
+            ([0, 1], [(0, (0, "x"))], "edge 0 references undeclared vertex x"),
+            ([0, 1], [(0, (0, None))], "edge 0 references undeclared vertex None"),
         ],
-        ids=["vertex", "edge", "endpoint"],
+        ids=["vertex", "edge", "endpoint", "float-endpoint", "float-endpoint-beside-its-vertex", "str-endpoint", "none-endpoint"],
     )
     def test_rejected(self, vertices, edges, message):
         with pytest.raises(ValueError) as exc:
