@@ -14,7 +14,7 @@ Both trees are imported into one interpreter by ``bench_cycles.py``'s
   families lack, and K_{2,70} sibling counts past the kernel's tables;
 - ``traced <inst>``: the same count with a hook on cycle12, k5, grid3x3, multi3
   and multi4: the sha256 of the hook stream, the node count and the value's
-  hex, so the calls of a subtree the chain replays cannot move either;
+  hex, so a traced chain, which walks every step, cannot move either;
 - ``verify --seed 1|2``: the exit code, so a change cannot add a failing
   suite, and every suite line of the report but its ``total``;
 - ``cli <argv>``: the exit code and the sha256 of stdout and of stderr of
@@ -27,8 +27,10 @@ Both trees are imported into one interpreter by ``bench_cycles.py``'s
   share variables in no fixed order, so ``to_graph``'s incidence order counts;
   ``count --epsilon 0.2`` and ``exact`` on a seeded 4x5 grid written by
   ``perfbench/gen.py``'s ``graph_file_text`` (permuted labels, shuffled lines)
-  and on multi3 with its lines shuffled, some normal edges' ends swapped, and
-  comments after items, on lines of their own and after blank lines.
+  and on multi3 and multi4 with their lines shuffled, some normal edges' ends
+  swapped, and comments after items, on lines of their own and after blank
+  lines.  multi3's count does not depend on the order of ``parse_graph``'s
+  tables; multi4's and the grid's do.
 
 Every line of the base's report must appear byte for byte in this tree's, so
 nothing can move while a change may still add lines.  Each missing line is
@@ -66,17 +68,18 @@ def write_inputs(side, tmp: Path) -> list[list[str]]:
     phi = cnf.RtwMonCnf(40, tuple(map(frozenset, clauses)))
     (tmp / "rtw.cnf").write_text(cnf.render_cnf(phi))
     (tmp / "grid.graph").write_text(gen.graph_file_text(20, gen.grid_edges(4, 5), random.Random(37)))
-    lines = (tmp / "multi3.graph").read_text().splitlines()
-    random.Random(5).shuffle(lines)
-    text = ["# multi3, its lines shuffled"]
-    for i, line in enumerate(lines):
-        tag, *ids = line.split()
-        if tag == "e" and i % 2:
-            line = f"e {ids[0]} {ids[2]} {ids[1]}"
-        text.append(f"{line}  # item {i}" if i % 3 else line)
-        if i % 7 == 0:
-            text.append("\n   # a comment after a blank line")
-    (tmp / "multi3c.graph").write_text("\n".join(text) + "\n")
+    for name in ("multi3", "multi4"):
+        lines = (tmp / f"{name}.graph").read_text().splitlines()
+        random.Random(5).shuffle(lines)
+        text = [f"# {name}, its lines shuffled"]
+        for i, line in enumerate(lines):
+            tag, *ids = line.split()
+            if tag == "e" and i % 2:
+                line = f"e {ids[0]} {ids[2]} {ids[1]}"
+            text.append(f"{line}  # item {i}" if i % 3 else line)
+            if i % 7 == 0:
+                text.append("\n   # a comment after a blank line")
+        (tmp / f"{name}c.graph").write_text("\n".join(text) + "\n")
 
     runs = [
         ["marginal", str(tmp / f"{name}.graph"), "--edge", str(e), "--depth", str(d), "--trace"]
@@ -85,7 +88,7 @@ def write_inputs(side, tmp: Path) -> list[list[str]]:
         for d in (2, 4)
     ]
     runs += [["from-cnf", str(tmp / name), "--epsilon", "0.2", "--exact"] for name in ("ring.cnf", "rtw.cnf")]
-    for name in ("grid.graph", "multi3c.graph"):
+    for name in ("grid.graph", "multi3c.graph", "multi4c.graph"):
         runs += [["count", str(tmp / name), "--epsilon", "0.2"], ["exact", str(tmp / name)]]
     return runs + [["verify", "--seed", "1"], ["verify", "--seed", "2"]]
 

@@ -54,10 +54,11 @@ bit.
 the counter's elimination order on one shared workspace, conditioning
 each edge in place (clearing its flags for good) once it is estimated.
 A normal root's first X or Z child that is the next edge is the next
-step's whole tree (``_ahead``): that step takes its kept value and node
-count and replays its hook calls, without walking it again.  The node
-count is the size of the computation trees, one per ``on_node`` call,
-hook or not, walked or replayed.
+step's whole tree (``_ahead``), which keeps its value and node count.
+Without a hook, that step takes the kept pair and is not walked again; a
+traced chain walks every step, so its hook sees each node where it is
+visited.  The node count is the size of the computation trees, one per
+``on_node`` call a hook would see, walked or kept.
 
 ``depth_sweep(g, e, max_depth)`` gives the estimates at every depth
 0..max_depth.  Error enters only at truncated leaves (``depth <= 0``),
@@ -151,9 +152,8 @@ class _Workspace:
     dispatch for a root at depth <= 0 and by the kernel for a node whose
     children are all truncated, and is never cleared by the recursion.
     ``nodes`` counts the computation-tree nodes, one per ``on_node`` call a
-    hook would see, walked or replayed.  ``ahead`` is None or the
-    ``(number, depth, value, nodes, calls)`` that ``_ahead`` last kept,
-    ``calls`` empty without a hook.
+    hook would see, walked or kept.  ``ahead`` is None or the
+    ``(number, value, nodes)`` that ``_ahead`` last kept.
     """
 
     __slots__ = ("ids", "ends", "far", "inc", "edge_live", "vert_live", "truncated", "nodes", "on_node", "ahead")
@@ -257,23 +257,13 @@ def _recurse(ws: _Workspace, e: int, depth: int) -> float:
 
 
 def _ahead(ws: _Workspace, e: int, depth: int) -> float:
-    # _recurse for a normal root's X or Z child e, the root's edge + 1, keeping its value, node
-    # count and hook calls for chain_marginals.  At chain step e - 1 every live edge is numbered
-    # above e - 1, so e is the first X or Z child: it runs with only the root's edge and ends
-    # cleared, as condition(e - 1) leaves them, and at the step's depth, so its tree is step e's.
+    # _recurse for a normal root's X or Z child e, the root's edge + 1, keeping its value and node
+    # count for chain_marginals.  At chain step e - 1 every live edge is numbered above e - 1, so
+    # e is the first X or Z child: it runs with only the root's edge and ends cleared, as
+    # condition(e - 1) leaves them, and at the chain's one depth, so its tree is step e's.
     nodes = ws.nodes
-    on_node = ws.on_node
-    calls = []
-    if on_node is not None:
-
-        def record(*call):
-            calls.append(call)
-            on_node(*call)
-
-        ws.on_node = record
     value = _recurse(ws, e, depth)
-    ws.on_node = on_node
-    ws.ahead = (e, depth, value, ws.nodes - nodes, calls)
+    ws.ahead = (e, value, ws.nodes - nodes)
     return value
 
 
@@ -372,18 +362,17 @@ def chain_marginals(
     ``[(e, estimate_marginal(h, e, depth, on_node)) for h, e in
     elimination_chain(g)]`` bit for bit, node for node.  It runs on one
     workspace built once: after each estimate the edge is conditioned in
-    place, which keeps the whole chain O(n + m) outside the recursion.  A
-    step that the previous root kept (``_ahead``) is replayed, not walked.
+    place, which keeps the whole chain O(n + m) outside the recursion.
+    Without a hook, a step that the previous root kept (``_ahead``) is
+    taken from the keep, not walked; with one, every step is walked.
     """
     ws = _Workspace(g, on_node)
     out = []
     for i, e in enumerate(ws.ids):
         ahead, ws.ahead = ws.ahead, None
-        if ahead is not None and ahead[:2] == (i, depth):
-            _, _, p, nodes, calls = ahead
+        if ahead is not None and ahead[0] == i and on_node is None:
+            _, p, nodes = ahead
             ws.nodes += nodes
-            for call in calls:
-                on_node(*call)
         else:
             p = _recurse(ws, i, depth)
         out.append((e, p))

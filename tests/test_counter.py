@@ -196,7 +196,7 @@ class TestSharedWorkspace:
                         edge_live[e] = False
                         assert ws.edge_live == edge_live
                         assert ws.vert_live == vert_live
-                        # a kept child ran under a recording hook; the caller's own is back
+                        # the hook is set at build time; keeping a child never swaps it
                         assert ws.on_node is on_node
                         kept += ws.ahead is not None
                         ws.ahead = None
@@ -240,11 +240,15 @@ class TestSharedWorkspace:
                 result = estimate_count(g, eps, on_node=lambda *a: shared_nodes.append(a))
                 depth = result.depth_used
                 chain = tuple(
-                    (e, estimate_marginal(h, e, depth, on_node=lambda *a: chain_nodes.append(a)))
+                    (e, estimate_marginal(h, e, depth, on_node=lambda *a: chain_nodes.append(a)).hex())
                     for h, e in steps
                 )
-                if result.marginals != chain or shared_nodes != chain_nodes or result.nodes != len(shared_nodes):
-                    mismatched.append((seed, eps))
+                # untraced, kept steps are taken from the keep, not walked
+                for run in (result, estimate_count(g, eps)):
+                    if tuple((e, p.hex()) for e, p in run.marginals) != chain or run.nodes != len(chain_nodes):
+                        mismatched.append((seed, eps, run is result))
+                if shared_nodes != chain_nodes:
+                    mismatched.append((seed, eps, "hooks"))
         assert mismatched == []
 
 

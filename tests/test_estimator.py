@@ -336,11 +336,13 @@ class TestNextStepKept:
         steps = elimination_chain(g)
         for depth in range(8):
             got, want = [], []
-            marginals, nodes = estimator.chain_marginals(g, depth, lambda *a: got.append(a))
-            expected = [(e, reference_marginal(h, e, depth, lambda *a: want.append(a))) for h, e in steps]
-            assert [(e, p.hex()) for e, p in marginals] == [(e, p.hex()) for e, p in expected]
+            expected = [(e, reference_marginal(h, e, depth, lambda *a: want.append(a)).hex()) for h, e in steps]
+            # untraced, the kept steps are taken from the keep; traced, every step is walked
+            for on_node in (None, lambda *a: got.append(a)):
+                marginals, nodes = estimator.chain_marginals(g, depth, on_node)
+                assert [(e, p.hex()) for e, p in marginals] == expected
+                assert nodes == len(want)
             assert got == want
-            assert nodes == len(want)
 
     @pytest.mark.parametrize(
         "edges, entered",
@@ -349,7 +351,7 @@ class TestNextStepKept:
     )
     def test_the_next_root_is_not_entered(self, edges, entered, monkeypatch):
         # edge 1 is entered as edge 0's first X child (K4), or as its Y and then its first Z child
-        # (path), and not again as step 1's root
+        # (path); untraced, not again as step 1's root, and traced, once more as that root
         g = Graph.from_edges(edges)
         roots = []  # the edge number of every _recurse call
         recurse = estimator._recurse
@@ -359,10 +361,10 @@ class TestNextStepKept:
             return recurse(ws, e, depth)
 
         monkeypatch.setattr(estimator, "_recurse", logged)
-        for on_node in (None, lambda *a: None):
+        for on_node, walked in ((None, 0), (lambda *a: None, 1)):
             roots.clear()
             estimator.chain_marginals(g, 4, on_node)
-            assert roots.count(1) == entered
+            assert roots.count(1) == entered + walked
 
 
 class TestScatteredIds:
@@ -528,13 +530,17 @@ class TestFarEndsAndFlags:
                         ws.vert_live[v] = True
 
 
-@pytest.mark.parametrize("fn", [estimator._recurse, estimator._dangling, oracle._step], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "fn", [estimator._recurse, estimator._ahead, estimator._dangling, oracle._step], ids=lambda f: f.__name__
+)
 def test_per_node_frames_build_no_nested_function(fn):
-    # Before Python 3.12 each of these is a function object and a frame per
-    # evaluation, and turns the locals it reads into closure cells.  Read
-    # from the source, so the check does not depend on the running version.
-    nested = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.Lambda)
-    found = [type(n).__name__ for n in ast.walk(ast.parse(inspect.getsource(fn))) if isinstance(n, nested)]
+    # Before Python 3.12 each of these but a def is a function object and a
+    # frame per evaluation, and every nested function turns the locals it
+    # reads into closure cells.  Read from the source, so the check does not
+    # depend on the running version.
+    nested = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.Lambda, ast.FunctionDef)
+    (own,) = ast.parse(inspect.getsource(fn)).body
+    found = [type(n).__name__ for n in ast.walk(own) if isinstance(n, nested) and n is not own]
     assert found == []
 
 

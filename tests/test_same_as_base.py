@@ -1,6 +1,7 @@
 """scripts/same_as_base.py passes a base tree that is a byte copy of ``src``
-and fails one whose ``--trace`` line differs by one byte, naming each
-report line that moved."""
+and fails one whose ``--trace`` line differs by one byte, or whose
+``parse_graph`` keeps edges in file order, naming each report line that
+moved."""
 
 import re
 import shutil
@@ -12,15 +13,16 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "same_as_base.py"
 SRC = SCRIPT.parent.parent / "src"
 
 
-def gate(tmp_path: Path, edit: tuple[str, str] | None = None) -> subprocess.CompletedProcess:
-    """The gate run against a copy of ``src`` with at most one edit to its ``cli.py``."""
+def gate(tmp_path: Path, edit: tuple[str, str, str] | None = None) -> subprocess.CompletedProcess:
+    """The gate run against a copy of ``src`` with at most one edit (module file, old, new)."""
     base = tmp_path / "src"
     shutil.copytree(SRC, base, ignore=shutil.ignore_patterns("__pycache__"))
     if edit is not None:
-        cli = base / "covercount" / "cli.py"
-        text = cli.read_text()
-        assert text.count(edit[0]) == 1
-        cli.write_text(text.replace(*edit))
+        name, old, new = edit
+        path = base / "covercount" / name
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
     return subprocess.run([sys.executable, str(SCRIPT), str(base)], capture_output=True, text=True)
 
 
@@ -31,9 +33,17 @@ def test_a_byte_copy_of_src_passes(tmp_path):
 
 
 def test_a_one_byte_trace_edit_fails_and_names_every_trace_run(tmp_path):
-    run = gate(tmp_path, ('f"depth={d} edge=', 'f"depth={d};edge='))
+    run = gate(tmp_path, ("cli.py", 'f"depth={d} edge=', 'f"depth={d};edge='))
     assert run.returncode == 1
     missing = run.stderr.splitlines()
     # multi3, multi4 and K_{2,70}, each at 3 edges and 2 depths; nothing else moved
     assert len(missing) == 18
     assert all(re.search(r" cli marginal \S+ --edge \d+ --depth \d --trace: exit 0 ", line) for line in missing)
+
+
+def test_a_file_order_parse_fails_on_both_shuffled_files_whose_count_reads_it(tmp_path):
+    run = gate(tmp_path, ("graph.py", "for e in sorted(edges):", "for e in edges:"))
+    assert run.returncode == 1
+    missing = [line.split(": ", 1)[1].split(":")[0] for line in run.stderr.splitlines()]
+    # multi3c's count does not depend on edge order; exact counts do not either
+    assert sorted(missing) == ["cli count grid.graph --epsilon 0.2", "cli count multi4c.graph --epsilon 0.2"]
