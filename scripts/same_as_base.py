@@ -15,6 +15,12 @@ Both trees are imported into one interpreter by ``bench_cycles.py``'s
 - ``traced <inst>``: the same count with a hook on cycle12, k5, grid3x3, multi3
   and multi4: the sha256 of the hook stream, the node count and the value's
   hex, so a traced chain, which walks every step, cannot move either;
+- ``graph multi4, shuffled``: the value's hex and node count of
+  ``estimate_count(g, 0.2)`` for ``g`` the side's ``Graph(vertices, edges)``
+  over multi4's vertex list and ``(id, endpoints)`` items, each shuffled once
+  with a fresh ``random.Random(5)`` by this tree's code, so the order of
+  ``Graph.__init__``'s tables counts, as ``Graph.from_edges``'s id-ordered
+  items cannot show;
 - ``verify --seed 1|2``: the exit code, so a change cannot add a failing
   suite, and every suite line of the report but its ``total``;
 - ``cli <argv>``: the exit code and the sha256 of stdout and of stderr of
@@ -54,9 +60,14 @@ TRACED = ("cycle12", "k5", "grid3x3", "multi3", "multi4")
 CNF_SEED = 1  # the read-twice CNF's clauses
 
 
-def write_inputs(side, tmp: Path) -> list[list[str]]:
-    """The input files, written with ``side``'s code, and the argv of every CLI run on them."""
+def write_inputs(side, tmp: Path) -> tuple[list[list[str]], tuple[list, list]]:
+    """The input files, written with ``side``'s code, the argv of every CLI run on them,
+    and multi4's vertices and edge items, shuffled."""
     format_graph, cnf, gen = module(side, "graph").format_graph, module(side, "cnf"), perfbench_gen()
+    multi4 = build(side, "multi4")
+    shuffled = sorted(multi4.vertices), [(e, multi4.endpoints(e)) for e in multi4.edge_ids]
+    for items in shuffled:
+        random.Random(5).shuffle(items)
     for name in ("multi3", "multi4", "k2x70"):
         (tmp / f"{name}.graph").write_text(format_graph(build(side, name)))
     (tmp / "ring.cnf").write_text(gen.ring_cnf_text(gen.ring_privates(60, random.Random(31))))
@@ -90,11 +101,12 @@ def write_inputs(side, tmp: Path) -> list[list[str]]:
     runs += [["from-cnf", str(tmp / name), "--epsilon", "0.2", "--exact"] for name in ("ring.cnf", "rtw.cnf")]
     for name in ("grid.graph", "multi3c.graph", "multi4c.graph"):
         runs += [["count", str(tmp / name), "--epsilon", "0.2"], ["exact", str(tmp / name)]]
-    return runs + [["verify", "--seed", "1"], ["verify", "--seed", "2"]]
+    return runs + [["verify", "--seed", "1"], ["verify", "--seed", "2"]], shuffled
 
 
-def report(side, runs: list[list[str]], tmp: Path) -> list[str]:
-    """The side's report lines: its counts, traced counts, then one or more lines per CLI run."""
+def report(side, runs: list[list[str]], shuffled: tuple[list, list], tmp: Path) -> list[str]:
+    """The side's report lines: its counts, traced counts, the shuffled constructor's count,
+    then one or more lines per CLI run."""
     lines = []
     for inst in COUNTED:
         row = measure(side, inst)
@@ -107,6 +119,8 @@ def report(side, runs: list[list[str]], tmp: Path) -> list[str]:
 
         result = module(side, "counter").estimate_count(build(side, inst), 0.2, on_node=hook)
         lines.append(f"traced {inst}: hooks {stream.hexdigest()} nodes {result.nodes} value {result.value.hex()}")
+    result = module(side, "counter").estimate_count(module(side, "graph").Graph(*shuffled), 0.2)
+    lines.append(f"graph multi4, shuffled: value {result.value.hex()} nodes {result.nodes}")
     main = module(side, "cli").main
     for argv in runs:
         out, err = io.StringIO(), io.StringIO()
@@ -128,8 +142,8 @@ def main(argv: list[str]) -> int:
         return 2
     base, change = load(Path(argv[0]), 0), load(Path(__file__).resolve().parents[1] / "src", 1)
     with tempfile.TemporaryDirectory() as tmp:
-        runs = write_inputs(change, Path(tmp))
-        theirs, ours = report(base, runs, Path(tmp)), set(report(change, runs, Path(tmp)))
+        runs, shuffled = write_inputs(change, Path(tmp))
+        theirs, ours = report(base, runs, shuffled, Path(tmp)), set(report(change, runs, shuffled, Path(tmp)))
     missing = [line for line in theirs if line not in ours]
     for line in missing:
         print(f"missing from the change's report: {line}", file=sys.stderr)

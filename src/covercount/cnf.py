@@ -31,6 +31,9 @@ class RtwMonCnf:
     def __post_init__(self):
         if self.num_vars < 1:
             raise CnfFormatError(f"variable count must be positive, got {self.num_vars}")
+        # a one-shot iterable would be used up here, and to_graph would see no clause
+        if not isinstance(self.clauses, tuple):
+            raise TypeError(f"clauses must be a tuple, got {type(self.clauses).__name__}")
         occurrences: dict[int, int] = {}
         for i, clause in enumerate(self.clauses):
             # to_graph relies on it: in a frozenset each variable occurs once

@@ -55,6 +55,7 @@ class Graph:
                 raise ValueError(f"edge id must be a nonnegative integer, got {eid!r}")
             if eid in emap:
                 raise ValueError(f"duplicate edge id {eid}")
+            ends = tuple(ends)  # read once: a one-shot iterable would be empty when sorted
             for u in ends:  # 1.0 and True equal a vertex id, but format_graph would write them as given
                 if not isinstance(u, int) or isinstance(u, bool):
                     raise ValueError(f"edge {eid} references undeclared vertex {u}")
@@ -66,12 +67,8 @@ class Graph:
             for u in ends:
                 if u not in adj:
                     raise ValueError(f"edge {eid} references undeclared vertex {u}")
-                adj[u].append(eid)
             emap[eid] = ends
-
-        # both held in ascending id order, which the removal operators keep
-        self._edges = {e: emap[e] for e in sorted(emap)}
-        self._adj = {v: tuple(sorted(adj[v])) for v in sorted(adj)}
+        self._edges, self._adj = _tables(adj, emap)
 
     @classmethod
     def _raw(cls, edges, adj) -> "Graph":
@@ -79,8 +76,8 @@ class Graph:
         validated their input already, the removal operators, ``parse_graph``
         and ``cnf.to_graph``.  ``edges`` maps each edge id to its sorted
         endpoint tuple, and ``adj`` each vertex to the ascending tuple of its
-        incident edge ids, one entry per parallel copy; both dicts are in
-        ascending key order, as ``__init__`` builds them."""
+        incident edge ids, one entry per parallel copy; both dicts ascend by
+        key, as ``_tables`` builds them for ``__init__`` and ``parse_graph``."""
         g = object.__new__(cls)
         g._edges = edges
         g._adj = adj
@@ -93,7 +90,7 @@ class Graph:
         The vertex set is the union of all endpoints; ``Graph(vertices, edges)``
         also takes vertices that no edge touches.
         """
-        edges = list(enumerate(endpoint_lists))
+        edges = list(enumerate(map(tuple, endpoint_lists)))
         return cls({u for _, ends in edges for u in ends}, edges)
 
     # -- accessors ---------------------------------------------------------
@@ -229,15 +226,19 @@ def parse_graph(text: str) -> Graph:
         else:
             edges[item] = ends
 
-    table = {}
     try:
-        for e in sorted(edges):
-            ends = table[e] = edges[e]
-            for u in ends:
-                inc[u].append(e)  # ascending, as e is
+        return Graph._raw(*_tables(inc, edges))
     except KeyError:
         _undeclared(text, inc)
-    return Graph._raw(table, {v: tuple(inc[v]) for v in sorted(inc)})
+
+
+def _tables(inc: dict[int, list[int]], edges: dict[int, tuple[int, ...]]) -> tuple[dict, dict]:
+    """A graph's two tables, ascending by id, from validated maps; KeyError at an undeclared end."""
+    table = {e: edges[e] for e in sorted(edges)}
+    for e, ends in table.items():
+        for u in ends:
+            inc[u].append(e)  # ascending, as e is, one entry per parallel copy
+    return table, {v: tuple(inc[v]) for v in sorted(inc)}
 
 
 def _reject(lineno: int, toks: list[str]) -> NoReturn:

@@ -79,6 +79,16 @@ class TestParse:
         with pytest.raises(TypeError, match="clause 2 must be a frozenset, got tuple"):
             RtwMonCnf(2, (frozenset({1}), (2, 2)))
 
+    @pytest.mark.parametrize(
+        "clauses",
+        [(frozenset({1, 2}) for _ in range(1)), [frozenset({1, 2})], iter((frozenset({1, 2}),))],
+        ids=["generator", "list", "iterator"],
+    )
+    def test_clauses_that_are_not_a_tuple_are_rejected(self, clauses):
+        # a generator would be used up by the checks, leaving x1 | x2 with no clause and 4 solutions
+        with pytest.raises(TypeError, match="clauses must be a tuple, got "):
+            RtwMonCnf(2, clauses)
+
     def test_duplicate_literal_in_clause_collapses(self):
         phi = parse_cnf("p cnf 1 1\n1 1 0\n")
         assert phi.clauses == (frozenset({1}),)

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import graphs
 from covercount.graph import EdgeKind, Graph, GraphFormatError, format_graph, parse_graph
+from covercount.oracle import exact_count
 
 
 def fig1a() -> Graph:
@@ -134,6 +135,18 @@ class TestConstruction:
     def test_too_many_endpoints(self):
         with pytest.raises(ValueError, match="at most 2"):
             Graph([0, 1, 2], [(0, (0, 1, 2))])
+
+    # each edge's ends are read once, so an iterator or a generator is as good as a tuple
+    @pytest.mark.parametrize(
+        "ends", [iter, lambda ends: (u for u in ends), lambda ends: map(int, ends)], ids=["iter", "generator", "map"]
+    )
+    def test_one_shot_endpoints(self, ends):
+        g = Graph([0, 1, 2], [(0, ends((1, 0))), (1, ends((2,))), (2, ends(()))])
+        assert tables(g) == ([(0, (0, 1)), (1, (2,)), (2, ())], [(0, (0,)), (1, (0,)), (2, (1,))])
+        assert exact_count(g) == 2
+        g = Graph.from_edges([ends((1, 0)), ends((1,)), ends(())])
+        assert tables(g) == ([(0, (0, 1)), (1, (1,)), (2, ())], [(0, (0,)), (1, (0, 1))])
+        assert exact_count(g) == 4
 
 
 @settings(max_examples=150, deadline=None)

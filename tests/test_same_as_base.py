@@ -1,7 +1,7 @@
 """scripts/same_as_base.py passes a base tree that is a byte copy of ``src``
-and fails one whose ``--trace`` line differs by one byte, or whose
-``parse_graph`` keeps edges in file order, naming each report line that
-moved."""
+and fails one whose ``--trace`` line differs by one byte, whose table
+builder keeps edges in input order, or whose ``Graph.__init__`` alone does,
+naming each report line that moved."""
 
 import re
 import shutil
@@ -41,9 +41,26 @@ def test_a_one_byte_trace_edit_fails_and_names_every_trace_run(tmp_path):
     assert all(re.search(r" cli marginal \S+ --edge \d+ --depth \d --trace: exit 0 ", line) for line in missing)
 
 
-def test_a_file_order_parse_fails_on_both_shuffled_files_whose_count_reads_it(tmp_path):
-    run = gate(tmp_path, ("graph.py", "for e in sorted(edges):", "for e in edges:"))
+def missing_keys(run: subprocess.CompletedProcess) -> list[str]:
+    return sorted(line.split(": ", 1)[1].split(":")[0] for line in run.stderr.splitlines())
+
+
+def test_an_input_order_builder_fails_on_every_shuffled_input_whose_count_reads_it(tmp_path):
+    run = gate(tmp_path, ("graph.py", "for e in sorted(edges)}", "for e in edges}"))
     assert run.returncode == 1
-    missing = [line.split(": ", 1)[1].split(":")[0] for line in run.stderr.splitlines()]
     # multi3c's count does not depend on edge order; exact counts do not either
-    assert sorted(missing) == ["cli count grid.graph --epsilon 0.2", "cli count multi4c.graph --epsilon 0.2"]
+    assert missing_keys(run) == [
+        "cli count grid.graph --epsilon 0.2",
+        "cli count multi4c.graph --epsilon 0.2",
+        "graph multi4, shuffled",
+    ]
+
+
+def test_an_input_order_constructor_fails_on_the_shuffled_constructor_only(tmp_path):
+    input_order = """for eid, ends in emap.items():
+            for u in ends:
+                adj[u].append(eid)
+        self._edges, self._adj = emap, {v: tuple(adj[v]) for v in adj}"""
+    run = gate(tmp_path, ("graph.py", "self._edges, self._adj = _tables(adj, emap)", input_order))
+    assert run.returncode == 1
+    assert missing_keys(run) == ["graph multi4, shuffled"]
