@@ -38,7 +38,8 @@ A graph instance's row holds, from the count it times, the ``depth``, the
 ``nodes`` (``ApproxCount.nodes``; a tree without it gives an error row),
 the ``value_hex`` and ``marginals_sha256``, the sha256 of every marginal's
 ``.hex()`` in chain order, with ``wall_s`` and the ``us_per_edge`` and
-``ns_per_node`` it gives.  A ``verify<seed>`` row times
+``ns_per_node`` it gives, each only when its divisor, ``m`` or ``nodes``,
+is positive (``k1`` has neither).  A ``verify<seed>`` row times
 ``run_verification(seed=<seed>)`` at the ``verify`` defaults and holds
 ``suites_sha256``, the sha256 of the JSON list of every suite's name, pass
 flag and detail.  A side that fails to import gives an error row in every
@@ -181,7 +182,7 @@ def measure(side: ModuleType, instance: str) -> dict:
         return {"command": command, "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(), "wall_s": wall}
     g = build(side, instance)
     result, wall = timed(module(side, "counter").estimate_count, g, EPSILON)
-    return {
+    row = {
         "n": g.vertex_count,
         "m": g.edge_count,
         "depth": result.depth_used,
@@ -189,9 +190,12 @@ def measure(side: ModuleType, instance: str) -> dict:
         "value_hex": result.value.hex(),
         "marginals_sha256": hashlib.sha256(" ".join(p.hex() for _, p in result.marginals).encode()).hexdigest(),
         "wall_s": wall,
-        "us_per_edge": wall / g.edge_count * 1e6,
-        "ns_per_node": wall / result.nodes * 1e9,
     }
+    if g.edge_count:
+        row["us_per_edge"] = wall / g.edge_count * 1e6
+    if result.nodes:
+        row["ns_per_node"] = wall / result.nodes * 1e9
+    return row
 
 
 def error(exc: BaseException) -> str:

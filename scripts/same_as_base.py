@@ -12,9 +12,13 @@ Both trees are imported into one interpreter by ``bench_cycles.py``'s
   multi3, multi4 and k2x70, each graph built by the tree's own code.  The
   multi<seed> graphs have the free, dangling and parallel edges the other
   families lack, and K_{2,70} sibling counts past the kernel's tables;
-- ``traced <inst>``: the same count with a hook on cycle12, k5, grid3x3, multi3
-  and multi4: the sha256 of the hook stream, the node count and the value's
-  hex, so a traced chain, which walks every step, cannot move either;
+- ``traced <inst>``: the same count with a hook on cycle12, k5, grid3x3, multi3,
+  multi4 and multi4s: the sha256 of the hook stream, the node count and the
+  value's hex, so a traced chain, which walks every step, cannot move either.
+  multi4s is multi4 with each vertex v renamed 10^12 + 7v and each edge e
+  renamed 3 + 1000e, built by the side's ``Graph(vertices, edges)``: both maps
+  are increasing, so every order is multi4's, but its ids are not 0..k-1, so
+  the estimator's workspace must translate them;
 - ``graph multi4, shuffled``: the value's hex and node count of
   ``estimate_count(g, 0.2)`` for ``g`` the side's ``Graph(vertices, edges)``
   over multi4's vertex list and ``(id, endpoints)`` items, each shuffled once
@@ -26,7 +30,8 @@ Both trees are imported into one interpreter by ``bench_cycles.py``'s
 - ``cli <argv>``: the exit code and the sha256 of stdout and of stderr of
   ``cli.main(argv)``, run in process, on files written once with this tree's
   code: ``marginal --trace`` on multi3, multi4 and K_{2,70} at edges 0, 5 and
-  11 and depths 2 and 4 (at depth 2, K_{2,70} gives dangling nodes whose 69
+  11 and on multi4s at edges 3, 5003 and 11003 (the same edges renamed), each
+  at depths 2 and 4 (at depth 2, K_{2,70} gives dangling nodes whose 69
   children are all truncated); ``from-cnf --epsilon 0.2 --exact`` on a seeded
   60-clause ring CNF from ``perfbench/gen.py`` and on a seeded read-twice CNF
   with 12 clauses over 40 variables, rendered by ``render_cnf``, whose clauses
@@ -35,8 +40,8 @@ Both trees are imported into one interpreter by ``bench_cycles.py``'s
   ``perfbench/gen.py``'s ``graph_file_text`` (permuted labels, shuffled lines)
   and on multi3 and multi4 with their lines shuffled, some normal edges' ends
   swapped, and comments after items, on lines of their own and after blank
-  lines.  multi3's count does not depend on the order of ``parse_graph``'s
-  tables; multi4's and the grid's do.
+  lines; ``count --epsilon 0.2`` on multi4s.  multi3's count does not depend
+  on the order of ``parse_graph``'s tables; multi4's and the grid's do.
 
 Every line of the base's report must appear byte for byte in this tree's, so
 nothing can move while a change may still add lines.  Each missing line is
@@ -60,16 +65,29 @@ TRACED = ("cycle12", "k5", "grid3x3", "multi3", "multi4")
 CNF_SEED = 1  # the read-twice CNF's clauses
 
 
-def write_inputs(side, tmp: Path) -> tuple[list[list[str]], tuple[list, list]]:
+def multi4s_vertex(v: int) -> int:  # multi4s's name for multi4's vertex v
+    return 10**12 + 7 * v
+
+
+def multi4s_edge(e: int) -> int:  # multi4s's name for multi4's edge e
+    return 3 + 1000 * e
+
+
+def write_inputs(side, tmp: Path) -> tuple[list[list[str]], dict[str, tuple[list, list]]]:
     """The input files, written with ``side``'s code, the argv of every CLI run on them,
-    and multi4's vertices and edge items, shuffled."""
-    format_graph, cnf, gen = module(side, "graph").format_graph, module(side, "cnf"), perfbench_gen()
+    and the vertex list and edge items of each graph that each side builds with its own
+    ``Graph(...)``: multi4's shuffled, and multi4s's."""
+    graph, cnf, gen = module(side, "graph"), module(side, "cnf"), perfbench_gen()
     multi4 = build(side, "multi4")
     shuffled = sorted(multi4.vertices), [(e, multi4.endpoints(e)) for e in multi4.edge_ids]
     for items in shuffled:
         random.Random(5).shuffle(items)
+    scaled = [multi4s_vertex(v) for v in sorted(multi4.vertices)], [
+        (multi4s_edge(e), tuple(map(multi4s_vertex, multi4.endpoints(e)))) for e in multi4.edge_ids
+    ]
     for name in ("multi3", "multi4", "k2x70"):
-        (tmp / f"{name}.graph").write_text(format_graph(build(side, name)))
+        (tmp / f"{name}.graph").write_text(graph.format_graph(build(side, name)))
+    (tmp / "multi4s.graph").write_text(graph.format_graph(graph.Graph(*scaled)))
     (tmp / "ring.cnf").write_text(gen.ring_cnf_text(gen.ring_privates(60, random.Random(31))))
     rng = random.Random(CNF_SEED)
     clauses = [set() for _ in range(12)]
@@ -94,32 +112,38 @@ def write_inputs(side, tmp: Path) -> tuple[list[list[str]], tuple[list, list]]:
 
     runs = [
         ["marginal", str(tmp / f"{name}.graph"), "--edge", str(e), "--depth", str(d), "--trace"]
-        for name in ("multi3", "multi4", "k2x70")
-        for e in (0, 5, 11)
+        # edges 0, 5 and 11 under each file's own ids
+        for name, edge_id in (("multi3", int), ("multi4", int), ("k2x70", int), ("multi4s", multi4s_edge))
+        for e in map(edge_id, (0, 5, 11))
         for d in (2, 4)
     ]
     runs += [["from-cnf", str(tmp / name), "--epsilon", "0.2", "--exact"] for name in ("ring.cnf", "rtw.cnf")]
     for name in ("grid.graph", "multi3c.graph", "multi4c.graph"):
         runs += [["count", str(tmp / name), "--epsilon", "0.2"], ["exact", str(tmp / name)]]
-    return runs + [["verify", "--seed", "1"], ["verify", "--seed", "2"]], shuffled
+    runs.append(["count", str(tmp / "multi4s.graph"), "--epsilon", "0.2"])
+    runs += [["verify", "--seed", "1"], ["verify", "--seed", "2"]]
+    return runs, {"multi4, shuffled": shuffled, "multi4s": scaled}
 
 
-def report(side, runs: list[list[str]], shuffled: tuple[list, list], tmp: Path) -> list[str]:
+def report(side, runs: list[list[str]], items: dict[str, tuple[list, list]], tmp: Path) -> list[str]:
     """The side's report lines: its counts, traced counts, the shuffled constructor's count,
     then one or more lines per CLI run."""
+    counter, Graph = module(side, "counter"), module(side, "graph").Graph
+    traced = {inst: build(side, inst) for inst in TRACED}
+    traced["multi4s"] = Graph(*items["multi4s"])
     lines = []
     for inst in COUNTED:
         row = measure(side, inst)
         lines.append(f"count {inst}: value {row['value_hex']} nodes {row['nodes']} marginals {row['marginals_sha256']}")
-    for inst in TRACED:
+    for inst, g in traced.items():
         stream = hashlib.sha256()
 
         def hook(depth, edge, kind, branch):
             stream.update(f"{depth} {edge} {kind.name} {branch}\n".encode())
 
-        result = module(side, "counter").estimate_count(build(side, inst), 0.2, on_node=hook)
+        result = counter.estimate_count(g, 0.2, on_node=hook)
         lines.append(f"traced {inst}: hooks {stream.hexdigest()} nodes {result.nodes} value {result.value.hex()}")
-    result = module(side, "counter").estimate_count(module(side, "graph").Graph(*shuffled), 0.2)
+    result = counter.estimate_count(Graph(*items["multi4, shuffled"]), 0.2)
     lines.append(f"graph multi4, shuffled: value {result.value.hex()} nodes {result.nodes}")
     main = module(side, "cli").main
     for argv in runs:
@@ -142,8 +166,8 @@ def main(argv: list[str]) -> int:
         return 2
     base, change = load(Path(argv[0]), 0), load(Path(__file__).resolve().parents[1] / "src", 1)
     with tempfile.TemporaryDirectory() as tmp:
-        runs, shuffled = write_inputs(change, Path(tmp))
-        theirs, ours = report(base, runs, shuffled, Path(tmp)), set(report(change, runs, shuffled, Path(tmp)))
+        runs, items = write_inputs(change, Path(tmp))
+        theirs, ours = report(base, runs, items, Path(tmp)), set(report(change, runs, items, Path(tmp)))
     missing = [line for line in theirs if line not in ours]
     for line in missing:
         print(f"missing from the change's report: {line}", file=sys.stderr)

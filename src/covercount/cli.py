@@ -51,7 +51,7 @@ def _count_payload(g: Graph, eps: float) -> dict:
         "depth": result.depth_used,
         "m": g.edge_count,
         "n": g.vertex_count,
-        "isolated": g.has_isolated_vertex(),
+        "isolated": result.value == 0.0,
     }
 
 

@@ -21,14 +21,18 @@ class CnfFormatError(ValueError):
 class RtwMonCnf:
     """Monotone CNF in which every variable occurs in at most two clauses.
 
-    Clauses are frozensets of positive 1-based variable indices; a duplicated
-    literal inside one clause counts as a single occurrence.
+    Clauses are frozensets of positive 1-based ``int`` variable indices (a
+    ``bool`` is not one); a duplicated literal inside one clause counts as a
+    single occurrence.
     """
 
     num_vars: int
     clauses: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        # as in Graph(...): a bool or a float passes the range checks, but renders or indexes wrongly
+        if type(self.num_vars) is not int:
+            raise TypeError(f"variable count must be an int, got {type(self.num_vars).__name__}")
         if self.num_vars < 1:
             raise CnfFormatError(f"variable count must be positive, got {self.num_vars}")
         # a one-shot iterable would be used up here, and to_graph would see no clause
@@ -42,6 +46,8 @@ class RtwMonCnf:
             if not clause:
                 raise CnfFormatError(f"clause {i + 1} is empty: unsatisfiable clause")
             for var in clause:
+                if type(var) is not int:
+                    raise TypeError(f"clause {i + 1} has a variable of type {type(var).__name__}, not int")
                 if not 1 <= var <= self.num_vars:
                     raise CnfFormatError(f"clause {i + 1} references variable {var} outside 1..{self.num_vars}")
                 occurrences[var] = occurrences.get(var, 0) + 1

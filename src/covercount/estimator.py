@@ -54,11 +54,14 @@ bit.
 the counter's elimination order on one shared workspace, conditioning
 each edge in place (clearing its flags for good) once it is estimated.
 A normal root's first X or Z child that is the next edge is the next
-step's whole tree (``_ahead``), which keeps its value and node count.
-Without a hook, that step takes the kept pair and is not walked again; a
-traced chain walks every step, so its hook sees each node where it is
-visited.  The node count is the size of the computation trees, one per
-``on_node`` call a hook would see, walked or kept.
+step's whole tree (``_ahead``), which keeps it as ``(value, nodes)``.
+Only a root can be normal, since a normal root's children have lost one
+of its ends, so the keep is always for the next step, and the chain
+clears it at every step.  Without a hook, that step takes the kept pair
+and is not walked again; a traced chain walks every step, so its hook
+sees each node where it is visited.  The node count is the size of the
+computation trees, one per ``on_node`` call a hook would see, walked or
+kept.
 
 ``depth_sweep(g, e, max_depth)`` gives the estimates at every depth
 0..max_depth.  Error enters only at truncated leaves (``depth <= 0``),
@@ -69,7 +72,6 @@ recursing there and repeats that value for the deeper depths.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Callable, Iterable, Optional
 
 from .graph import KINDS, EdgeKind, Graph
@@ -153,7 +155,8 @@ class _Workspace:
     children are all truncated, and is never cleared by the recursion.
     ``nodes`` counts the computation-tree nodes, one per ``on_node`` call a
     hook would see, walked or kept.  ``ahead`` is None or the
-    ``(number, value, nodes)`` that ``_ahead`` last kept.
+    ``(value, nodes)`` that ``_ahead`` last kept, always for the edge
+    after the root's.
     """
 
     __slots__ = ("ids", "ends", "far", "inc", "edge_live", "vert_live", "truncated", "nodes", "on_node", "ahead")
@@ -184,11 +187,10 @@ class _Workspace:
 
     def number(self, e: int) -> int:
         """The number of edge id e; ``KeyError`` if e is not an edge of the graph."""
-        ids = self.ids
-        i = bisect_left(ids, e)
-        if i == len(ids) or ids[i] != e:
-            raise KeyError(f"unknown edge id {e}")
-        return i
+        try:
+            return self.ids.index(e)
+        except ValueError:
+            raise KeyError(f"unknown edge id {e}") from None
 
     def condition(self, e: int) -> None:
         """Put edge number e into the cover for good, the live twin of ``Graph.condition``."""
@@ -263,7 +265,7 @@ def _ahead(ws: _Workspace, e: int, depth: int) -> float:
     # condition(e - 1) leaves them, and at the chain's one depth, so its tree is step e's.
     nodes = ws.nodes
     value = _recurse(ws, e, depth)
-    ws.ahead = (e, value, ws.nodes - nodes)
+    ws.ahead = (value, ws.nodes - nodes)
     return value
 
 
@@ -370,8 +372,8 @@ def chain_marginals(
     out = []
     for i, e in enumerate(ws.ids):
         ahead, ws.ahead = ws.ahead, None
-        if ahead is not None and ahead[0] == i and on_node is None:
-            _, p, nodes = ahead
+        if ahead is not None and on_node is None:
+            p, nodes = ahead
             ws.nodes += nodes
         else:
             p = _recurse(ws, i, depth)

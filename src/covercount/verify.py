@@ -86,7 +86,8 @@ def marginal_suites(counted) -> list[SuiteResult]:
     One streaming pass over every edge of every covered corpus graph feeds
     all three; each exact marginal is ``|EC(g - e)| / |EC(g)|``.  Every
     depth 0..MAX_DEPTH is checked; ``depth_sweep`` reuses a settled
-    depth's value for the deeper ones.
+    depth's value for the deeper ones.  ``half-bound`` reads each edge's
+    sweep once, through its largest and smallest estimate.
     """
     worst = 0.0
     worst_bound = 0.0
@@ -103,9 +104,15 @@ def marginal_suites(counted) -> list[SuiteResult]:
         for e in g.edge_ids:
             exact = without[e] / z  # true division of ints is correctly rounded
             sharp = g.classify(e) is not EdgeKind.NORMAL
-            if not 0 <= 2 * without[e] <= z:
+            sweep = depth_sweep(g, e, MAX_DEPTH)
+            top, bottom = max(sweep), min(sweep)
+            if top > hi:
+                hi = top
+            if bottom < lo:
+                lo = bottom
+            if not (0 <= 2 * without[e] <= z and 0.0 <= bottom and top <= 0.5):
                 ok_half = False
-            for L, est in enumerate(depth_sweep(g, e, MAX_DEPTH)):
+            for L, est in enumerate(sweep):
                 err = abs(est - exact)
                 bound = _DECAY_BOUND[L]
                 if err > worst:
@@ -118,12 +125,6 @@ def marginal_suites(counted) -> list[SuiteResult]:
                         worst_sharp, worst_sharp_bound = err, bound1
                     if err > bound1 - _ROUNDING_BAND and abs(Fraction(est) - Fraction(without[e], z)) > bound1:
                         ok_sharp = False
-                if est > hi:
-                    hi = est
-                if est < lo:
-                    lo = est
-                if not 0.0 <= est <= 0.5:
-                    ok_half = False
     return [
         SuiteResult("decay-bound", ok, f"worst_err={worst:.3e} bound_at_worst={worst_bound:.3e}"),
         SuiteResult(

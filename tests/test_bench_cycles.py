@@ -124,6 +124,21 @@ def test_a_row_records_the_digest_of_its_marginals_in_chain_order(bench):
     assert row["marginals_sha256"] == hashlib.sha256(text.encode()).hexdigest()
 
 
+def test_a_no_edge_instance_gets_a_row_with_no_per_edge_or_per_node_time(bench, monkeypatch, tmp_path):
+    out = tmp_path / "record.json"
+    argv = ["bench_cycles.py", "--side", f"a={SRC}", "--instances", "k1,grid1x3", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    monkeypatch.setattr(bench, "ROUNDS", 2)
+
+    assert bench.main() == 0
+    rows = json.loads(out.read_text())["rows"]
+    # K_1 has no edge, so its count is 1 with no node: neither time has a divisor
+    assert [(row["instance"], row["m"], row["nodes"]) for row in rows] == [("k1", 0, 0)] * 2 + [("grid1x3", 2, 4)] * 2
+    assert rows[0]["value_hex"] == (1.0).hex()
+    per = {"us_per_edge", "ns_per_node"}
+    assert [per & set(row) for row in rows] == [set()] * 2 + [per] * 2
+
+
 def test_a_row_runs_only_its_timed_counts_and_traces_none(bench, monkeypatch):
     side = bench.load(SRC, 0)
     counter = bench.module(side, "counter")

@@ -89,6 +89,23 @@ class TestParse:
         with pytest.raises(TypeError, match="clauses must be a tuple, got "):
             RtwMonCnf(2, clauses)
 
+    @pytest.mark.parametrize(
+        "num_vars, clause, match",
+        [
+            # True equals variable 1 and would render as "True 2 0"
+            (2, frozenset({True, 2}), "clause 1 has a variable of type bool, not int"),
+            # 1.0 equals variable 1 but cannot index to_graph's table
+            (2, frozenset({1.0, 2}), "clause 1 has a variable of type float, not int"),
+            (2.5, frozenset({1, 2}), "variable count must be an int, got float"),
+            # would render as "p cnf True 1"
+            (True, frozenset({1}), "variable count must be an int, got bool"),
+        ],
+        ids=["bool-variable", "float-variable", "float-count", "bool-count"],
+    )
+    def test_a_variable_or_count_that_is_not_an_int_is_rejected(self, num_vars, clause, match):
+        with pytest.raises(TypeError, match=match):
+            RtwMonCnf(num_vars, (clause,))
+
     def test_duplicate_literal_in_clause_collapses(self):
         phi = parse_cnf("p cnf 1 1\n1 1 0\n")
         assert phi.clauses == (frozenset({1}),)

@@ -204,21 +204,31 @@ class TestSharedWorkspace:
                     ws.condition(e)
         assert kept
 
-    def test_no_kept_entry_outlives_the_step_after_it(self, monkeypatch):
-        # when step i conditions its edge, the only entry left is the one step i kept for step i + 1
-        seen = []
+    def test_every_kept_pair_is_the_next_steps_walk(self, monkeypatch):
+        # when step i conditions its edge, what is kept is step i + 1's value and node count,
+        # as estimating that step's edge in its own chain graph gives them
+        kept = []
         condition = _Workspace.condition
 
-        def checked(ws, e):
-            assert ws.ahead is None or ws.ahead[0] == e + 1
-            seen.append(ws.ahead is not None)
+        def recorded(ws, e):
+            kept.append(ws.ahead)
             condition(ws, e)
 
-        monkeypatch.setattr(_Workspace, "condition", checked)
+        monkeypatch.setattr(_Workspace, "condition", recorded)
+        seen = []
         for seed in range(40):
             g = random_multigraph(seed, max_edges=14)
+            steps = elimination_chain(g)
             for on_node in (None, lambda *a: None):
+                kept.clear()
                 chain_marginals(g, 5, on_node)
+                assert len(kept) == len(steps)
+                for (h, e), ahead in zip(steps[1:], kept):
+                    if ahead is not None:
+                        nodes = []
+                        value = estimate_marginal(h, e, 5, lambda *a: nodes.append(a))
+                        assert ahead == (value, len(nodes)), (seed, e)
+                seen += [ahead is not None for ahead in kept]
         assert any(seen) and not all(seen)
 
     def test_condition_leaves_the_next_chain_graph(self):

@@ -1,7 +1,8 @@
 """scripts/same_as_base.py passes a base tree that is a byte copy of ``src``
 and fails one whose ``--trace`` line differs by one byte, whose table
-builder keeps edges in input order, or whose ``Graph.__init__`` alone does,
-naming each report line that moved."""
+builder keeps edges in input order, whose ``Graph.__init__`` alone does, or
+whose estimator workspace reverses the incidence rows it translates from
+sparse edge ids, naming each report line that moved."""
 
 import re
 import shutil
@@ -36,8 +37,8 @@ def test_a_one_byte_trace_edit_fails_and_names_every_trace_run(tmp_path):
     run = gate(tmp_path, ("cli.py", 'f"depth={d} edge=', 'f"depth={d};edge='))
     assert run.returncode == 1
     missing = run.stderr.splitlines()
-    # multi3, multi4 and K_{2,70}, each at 3 edges and 2 depths; nothing else moved
-    assert len(missing) == 18
+    # multi3, multi4, K_{2,70} and multi4s, each at 3 edges and 2 depths; nothing else moved
+    assert len(missing) == 24
     assert all(re.search(r" cli marginal \S+ --edge \d+ --depth \d --trace: exit 0 ", line) for line in missing)
 
 
@@ -64,3 +65,16 @@ def test_an_input_order_constructor_fails_on_the_shuffled_constructor_only(tmp_p
     run = gate(tmp_path, ("graph.py", "self._edges, self._adj = _tables(adj, emap)", input_order))
     assert run.returncode == 1
     assert missing_keys(run) == ["graph multi4, shuffled"]
+
+
+def test_a_workspace_that_reverses_translated_rows_fails_on_multi4s_only(tmp_path):
+    # every other input has dense ids, so the translation never runs on it; an
+    # untraced count of multi4s reads the same value and node count either way
+    row = "inc = [tuple(map(edge_no, row)) for row in inc]"
+    reversed_rows = "inc = [tuple(map(edge_no, row))[::-1] for row in inc]"
+    run = gate(tmp_path, ("estimator.py", row, reversed_rows))
+    assert run.returncode == 1
+    assert missing_keys(run) == sorted(
+        [f"cli marginal multi4s.graph --edge {e} --depth {d} --trace" for e in (3, 5003, 11003) for d in (2, 4)]
+        + ["traced multi4s"]
+    )
