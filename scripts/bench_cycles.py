@@ -146,14 +146,12 @@ def cli_input(instance: str) -> tuple[str, str]:
     return "count", gen.graph_file_text(n, edges, random.Random(TEXT_SEED))
 
 
-def run_cli(main, argv: list[str]) -> str:
-    """What ``main(argv)`` prints to stdout; a nonzero exit raises with its stderr."""
+def run_cli(main, argv: list[str]) -> tuple[int, str, str]:
+    """``main(argv)`` run in process: its exit code and what it prints to stdout and to stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    if code != 0:
-        raise RuntimeError(f"exit {code}: {err.getvalue().strip()}")
-    return out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def timed(run, *args, **kwargs) -> tuple[object, float]:
@@ -178,7 +176,9 @@ def measure(side: ModuleType, instance: str) -> dict:
             path = Path(tmp) / "input"
             path.write_text(text)
             argv = [command, str(path), "--epsilon", str(EPSILON)]
-            out, wall = timed(run_cli, module(side, "cli").main, argv)
+            (code, out, err), wall = timed(run_cli, module(side, "cli").main, argv)
+        if code != 0:
+            raise RuntimeError(f"exit {code}: {err.strip()}")
         return {"command": command, "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(), "wall_s": wall}
     g = build(side, instance)
     result, wall = timed(module(side, "counter").estimate_count, g, EPSILON)

@@ -42,6 +42,10 @@ Both trees are imported into one interpreter by ``bench_cycles.py``'s
   swapped, and comments after items, on lines of their own and after blank
   lines; ``count --epsilon 0.2`` on multi4s.  multi3's count does not depend
   on the order of ``parse_graph``'s tables; multi4's and the grid's do.
+  Three runs exit 1 with a one-line error, so their bytes count too:
+  ``marginal --edge 999 --depth 2`` on multi3, which has no edge 999;
+  ``count --epsilon 0.2`` on a graph file whose last edge has an undeclared
+  endpoint; ``from-cnf --epsilon 0.2`` on a CNF with a negative literal.
 
 Every line of the base's report must appear byte for byte in this tree's, so
 nothing can move while a change may still add lines.  Each missing line is
@@ -50,15 +54,13 @@ printed to stderr and the exit is 1; otherwise the exit is 0.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import random
 import sys
 import tempfile
 from pathlib import Path
 
-from bench_cycles import build, load, measure, module, perfbench_gen
+from bench_cycles import build, load, measure, module, perfbench_gen, run_cli
 
 COUNTED = ("cycle12", "k5", "grid3x3", "multi3", "multi4", "k2x70")
 TRACED = ("cycle12", "k5", "grid3x3", "multi3", "multi4")
@@ -96,6 +98,8 @@ def write_inputs(side, tmp: Path) -> tuple[list[list[str]], dict[str, tuple[list
             clauses[i].add(var)
     phi = cnf.RtwMonCnf(40, tuple(map(frozenset, clauses)))
     (tmp / "rtw.cnf").write_text(cnf.render_cnf(phi))
+    (tmp / "undeclared.graph").write_text("v 0\nv 1\ne 0 0 1\nd 1 1\ne 2 1 2\n")
+    (tmp / "negative.cnf").write_text("p cnf 3 2\n1 2 0\n2 -3 0\n")
     (tmp / "grid.graph").write_text(gen.graph_file_text(20, gen.grid_edges(4, 5), random.Random(37)))
     for name in ("multi3", "multi4"):
         lines = (tmp / f"{name}.graph").read_text().splitlines()
@@ -121,6 +125,11 @@ def write_inputs(side, tmp: Path) -> tuple[list[list[str]], dict[str, tuple[list
     for name in ("grid.graph", "multi3c.graph", "multi4c.graph"):
         runs += [["count", str(tmp / name), "--epsilon", "0.2"], ["exact", str(tmp / name)]]
     runs.append(["count", str(tmp / "multi4s.graph"), "--epsilon", "0.2"])
+    runs += [
+        ["marginal", str(tmp / "multi3.graph"), "--edge", "999", "--depth", "2"],
+        ["count", str(tmp / "undeclared.graph"), "--epsilon", "0.2"],
+        ["from-cnf", str(tmp / "negative.cnf"), "--epsilon", "0.2"],
+    ]
     runs += [["verify", "--seed", "1"], ["verify", "--seed", "2"]]
     return runs, {"multi4, shuffled": shuffled, "multi4s": scaled}
 
@@ -147,15 +156,13 @@ def report(side, runs: list[list[str]], items: dict[str, tuple[list, list]], tmp
     lines.append(f"graph multi4, shuffled: value {result.value.hex()} nodes {result.nodes}")
     main = module(side, "cli").main
     for argv in runs:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        code, out, err = run_cli(main, argv)
         key = " ".join(argv).replace(f"{tmp}/", "")
         if argv[0] == "verify":
             lines.append(f"{key}: exit {code}")
-            lines += [f"{key}: {line}" for line in out.getvalue().splitlines() if line.split()[1] != "total"]
+            lines += [f"{key}: {line}" for line in out.splitlines() if line.split()[1] != "total"]
         else:
-            out, err = (hashlib.sha256(buf.getvalue().encode()).hexdigest() for buf in (out, err))
+            out, err = (hashlib.sha256(buf.encode()).hexdigest() for buf in (out, err))
             lines.append(f"cli {key}: exit {code} stdout {out} stderr {err}")
     return lines
 

@@ -23,11 +23,10 @@ from .cnf import parse_cnf, to_graph
 from .counter import depth_for, estimate_count
 from .estimator import estimate_marginal
 from .generate import cycle_graph, random_multigraph, star_graph
-from .graph import EdgeKind, Graph, parse_graph
+from .graph import Graph, parse_graph
 from .oracle import DEFAULT_FRONTIER_CAP, NoEdgeCoverError, exact_count, exact_marginal
 from .verify import run_verification
 
-_KIND_CHAR = {EdgeKind.NORMAL: "N", EdgeKind.DANGLING: "D", EdgeKind.FREE: "F"}
 DEFAULT_MARGINAL_EPSILON = 0.1
 
 
@@ -77,7 +76,7 @@ def cmd_marginal(args) -> int:
     on_node = None
     if args.trace:
         def on_node(d, e, kind, branch):
-            print(f"depth={d} edge={e} kind={_KIND_CHAR[kind]} branch={branch}", file=sys.stderr)
+            print(f"depth={d} edge={e} kind={kind.name[0]} branch={branch}", file=sys.stderr)
     estimate = estimate_marginal(g, args.edge, depth, on_node)
     payload = {"estimate": estimate, "depth": depth}
     if args.exact:

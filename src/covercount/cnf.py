@@ -68,23 +68,22 @@ def parse_cnf(text: str) -> RtwMonCnf:
     pending_line = None
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        toks = raw.split()
+        if not toks or toks[0].startswith("c"):
             continue
-        if line.startswith("p"):
+        if toks[0].startswith("p"):
             if num_vars is not None:
                 raise CnfFormatError(f"line {lineno}: duplicate header")
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(toks) != 4 or toks[1] != "cnf":
                 raise CnfFormatError(f"line {lineno}: expected 'p cnf <vars> <clauses>'")
             try:
-                num_vars, declared = int(parts[2]), int(parts[3])
+                num_vars, declared = int(toks[2]), int(toks[3])
             except ValueError:
                 raise CnfFormatError(f"line {lineno}: non-integer header fields") from None
             continue
         if num_vars is None:
             raise CnfFormatError(f"line {lineno}: clause before 'p cnf' header")
-        for tok in line.split():
+        for tok in toks:
             try:
                 lit = int(tok)
             except ValueError:
@@ -98,7 +97,8 @@ def parse_cnf(text: str) -> RtwMonCnf:
                 pending = []
             else:
                 pending.append(lit)
-                pending_line = lineno
+        if pending:  # a clause left open at EOF is reported at the last line that left it open
+            pending_line = lineno
 
     if num_vars is None:
         raise CnfFormatError("missing 'p cnf' header")

@@ -32,7 +32,7 @@ class GraphFormatError(ValueError):
 
 
 class Graph:
-    """Immutable multigraph over nonnegative integer vertex and edge ids."""
+    """Immutable multigraph over nonnegative plain-``int`` vertex and edge ids."""
 
     __slots__ = ("_edges", "_adj")
 
@@ -43,7 +43,7 @@ class Graph:
     ):
         adj: dict[int, list[int]] = {}
         for v in vertices:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            if type(v) is not int or v < 0:
                 raise ValueError(f"vertex id must be a nonnegative integer, got {v!r}")
             if v in adj:
                 raise ValueError(f"duplicate vertex id {v}")
@@ -51,13 +51,13 @@ class Graph:
 
         emap: dict[int, tuple[int, ...]] = {}
         for eid, ends in edges:
-            if not isinstance(eid, int) or isinstance(eid, bool) or eid < 0:
+            if type(eid) is not int or eid < 0:
                 raise ValueError(f"edge id must be a nonnegative integer, got {eid!r}")
             if eid in emap:
                 raise ValueError(f"duplicate edge id {eid}")
             ends = tuple(ends)  # read once: a one-shot iterable would be empty when sorted
-            for u in ends:  # 1.0 and True equal a vertex id, but format_graph would write them as given
-                if not isinstance(u, int) or isinstance(u, bool):
+            for u in ends:  # 1.0, True or an int subclass equals a vertex id, but format_graph writes its str()
+                if type(u) is not int:
                     raise ValueError(f"edge {eid} references undeclared vertex {u}")
             ends = tuple(sorted(ends))
             if len(ends) > 2:
@@ -72,12 +72,12 @@ class Graph:
 
     @classmethod
     def _raw(cls, edges, adj) -> "Graph":
-        """A graph over finished tables, with no check: for callers that have
-        validated their input already, the removal operators, ``parse_graph``
-        and ``cnf.to_graph``.  ``edges`` maps each edge id to its sorted
-        endpoint tuple, and ``adj`` each vertex to the ascending tuple of its
-        incident edge ids, one entry per parallel copy; both dicts ascend by
-        key, as ``_tables`` builds them for ``__init__`` and ``parse_graph``."""
+        """A graph over finished tables, with no check, for callers whose input
+        is validated already: the removal operators, ``parse_graph``,
+        ``cnf.to_graph`` and ``verify.identity_suite``'s doubled graph.
+        ``edges`` maps each edge id to its sorted endpoint tuple and ``adj``
+        each vertex to the ascending tuple of its incident edge ids, one per
+        parallel copy; both dicts ascend by key, as ``_tables`` builds them."""
         g = object.__new__(cls)
         g._edges = edges
         g._adj = adj

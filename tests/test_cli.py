@@ -12,7 +12,7 @@ from conftest import lucas, path_graph, scattered_id_graph, wide_frontier_graph
 from covercount import cli
 from covercount.cli import main
 from covercount.generate import cycle_graph
-from covercount.graph import format_graph
+from covercount.graph import EdgeKind, format_graph
 from reference import reference_marginal
 
 C4_TEXT = "v 0\nv 1\nv 2\nv 3\ne 0 0 1\ne 1 1 2\ne 2 2 3\ne 3 3 0\n"
@@ -181,6 +181,13 @@ class TestMarginal:
         assert code == 0
         assert json.loads(out) == {"estimate": 0.5, "depth": 4}
 
+    def test_a_one_edge_graph_takes_the_depth_of_a_one_edge_count(self, capsys, tmp_path):
+        path = tmp_path / "free.graph"
+        path.write_text("f 0\n")
+        code, out, _ = run_cli(capsys, "marginal", str(path), "--edge", "0")
+        assert code == 0
+        assert json.loads(out) == {"estimate": 0.5, "depth": 6}  # depth_for(1, 0.1)
+
     def test_exact_flag_adds_rational(self, capsys, c4_file):
         _, out, _ = run_cli(capsys, "marginal", c4_file, "--edge", "0", "--exact")
         payload = json.loads(out)
@@ -204,6 +211,7 @@ class TestMarginal:
         path = tmp_path / "scattered.graph"
         path.write_text(format_graph(g))
         e = 10**12
+        letter = {EdgeKind.NORMAL: "N", EdgeKind.DANGLING: "D", EdgeKind.FREE: "F"}
         # depth 0 truncates the root itself; at depth 1 every dangling child
         # of the root has all of its own children truncated by the kernel
         for depth, root_branch in ((0, "base"), (1, "normal"), (4, "normal")):
@@ -212,7 +220,7 @@ class TestMarginal:
             assert code == 0
             want = []
             assert json.loads(out)["estimate"] == reference_marginal(g, e, depth, on_node=lambda *a: want.append(a))
-            lines = [f"depth={d} edge={x} kind={cli._KIND_CHAR[k]} branch={b}" for d, x, k, b in want]
+            lines = [f"depth={d} edge={x} kind={letter[k]} branch={b}" for d, x, k, b in want]
             assert err.splitlines() == lines
             assert lines[0] == f"depth={depth} edge={e} kind=N branch={root_branch}"
             if depth:
@@ -229,10 +237,10 @@ class TestMarginal:
         assert err.splitlines()[-1] == "covercount marginal: error: argument --depth: must be at least 0, got -3"
 
     def test_unknown_edge_fails(self, capsys, c4_file):
-        code, out, err = run_cli(capsys, "marginal", c4_file, "--edge", "9")
+        code, out, err = run_cli(capsys, "marginal", c4_file, "--edge", "99")
         assert code == 1
         assert out == ""
-        assert "unknown edge" in err
+        assert err == "error: unknown edge id 99\n"  # the KeyError's message, not its quoted str()
 
     @pytest.mark.parametrize("flag", [[], ["--exact"], ["--trace"]], ids=["estimate", "exact", "trace"])
     def test_a_graph_with_no_edge_cover_is_a_one_line_error(self, capsys, tmp_path, flag):
@@ -264,6 +272,14 @@ class TestFromCnf:
         code, out, _ = run_cli(capsys, "from-cnf", str(path), "--epsilon", "0.2", "--exact")
         assert code == 0
         assert json.loads(out)["exact"] == "1860498" == str(lucas(30))
+
+    def test_a_formula_with_no_clause_counts_every_assignment(self, capsys, tmp_path):
+        path = tmp_path / "none.cnf"
+        path.write_text("p cnf 3 0\n")
+        code, out, _ = run_cli(capsys, "from-cnf", str(path), "--epsilon", "0.2")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["clauses"], payload["vars"], payload["count"]) == (0, 3, 8.0)
 
     def test_bad_formula_diagnostic(self, capsys, tmp_path):
         path = tmp_path / "bad.cnf"
@@ -372,8 +388,9 @@ class TestBench:
         assert len(calls) == len(sizes)
         for line, size in zip(out.strip().splitlines()[1:], sizes):
             stream = []
-            estimate_count(cli._bench_graph(family, size, 4), 0.5, on_node=lambda *a: stream.append(a))
+            result = estimate_count(cli._bench_graph(family, size, 4), 0.5, on_node=lambda *a: stream.append(a))
             assert int(line.split(",")[3]) == len(stream) > 0
+            assert line.split(",")[5] == f"{result.value:.12g}"
 
     def test_no_sizes_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

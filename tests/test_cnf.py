@@ -41,6 +41,13 @@ class TestParse:
         phi = parse_cnf("c a comment\np cnf 2 1\n1\n2 0\n")
         assert phi.clauses == (frozenset({1, 2}),)
 
+    # a comment is any line whose first token starts with c: a bare "c", "cfoo" and "cnf 1 2" too
+    @pytest.mark.parametrize(
+        "text", ["c\np cnf 2 1\n1\nc\n2 0\n", "cfoo\np cnf 2 1\n 1\ncnf 1 2\n2 0\n"], ids=["bare-c", "c-word"]
+    )
+    def test_a_line_whose_first_token_starts_with_c_is_a_comment(self, text):
+        assert parse_cnf(text).clauses == (frozenset({1, 2}),)
+
     def test_not_monotone(self):
         with pytest.raises(CnfFormatError, match="not monotone"):
             parse_cnf("p cnf 2 1\n1 -2 0\n")
@@ -61,6 +68,8 @@ class TestParse:
             ("1 0\n", "before 'p cnf'"),
             ("p cnf 2 1\n1 two 0\n", "bad token"),
             ("p cnf 2 1\n1 2\n", "not terminated"),
+            # the line of the last literal, not the line the clause began on
+            ("p cnf 2 1\n1\n2\n", "^line 3: clause not terminated by 0$"),
             ("p cnf 2 2\n1 0\n", "declares 2 clauses"),
             ("p cnf 0 0\n", "positive"),
             ("p cnf 2 1\n1 3 0\n", "outside"),

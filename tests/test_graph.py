@@ -252,6 +252,11 @@ class TestTextFormat:
         assert str(exc.value) == message
 
 
+def test_repr_names_both_tables_in_id_order():
+    g = Graph([2, 0], [(1, (2, 0)), (0, ())])
+    assert repr(g) == "Graph(vertices=[0, 2], edges={0: (), 1: (0, 2)})"
+
+
 def tables(g: Graph) -> tuple[list, list]:
     """Both tables with their order: ``==`` on graphs compares them as dicts."""
     return list(g._edges.items()), list(g._adj.items())
@@ -316,10 +321,17 @@ def test_the_first_fault_in_line_then_token_order_is_reported(text, message):
     assert str(exc.value) == message
 
 
+class One(int):
+    """An int subclass that equals 1 but that format_graph would write as "one"."""
+
+    def __str__(self):
+        return "one"
+
+
 class TestBoolIds:
     # True == 1 and isinstance(True, int), but format_graph would write "True"; an endpoint
-    # that only equals a vertex id (1.0) would be written as "1.0", and one that is no number
-    # at all would reach sorted()
+    # that only equals a vertex id (1.0) would be written as "1.0", an int subclass as its
+    # own str(), and one that is no number at all would reach sorted()
 
     @pytest.mark.parametrize(
         "vertices, edges, message",
@@ -331,8 +343,14 @@ class TestBoolIds:
             ([0, 1], [(0, (0, 1.0)), (1, (0, 1))], "edge 0 references undeclared vertex 1.0"),
             ([0, 1], [(0, (0, "x"))], "edge 0 references undeclared vertex x"),
             ([0, 1], [(0, (0, None))], "edge 0 references undeclared vertex None"),
+            ([One(1), 2], [(0, (One(1), 2))], "vertex id must be a nonnegative integer, got 1"),
+            ([0, 1], [(One(1), (0, 1))], "edge id must be a nonnegative integer, got 1"),
+            ([1, 2], [(0, (One(1), 2))], "edge 0 references undeclared vertex one"),
         ],
-        ids=["vertex", "edge", "endpoint", "float-endpoint", "float-endpoint-beside-its-vertex", "str-endpoint", "none-endpoint"],
+        ids=[
+            "vertex", "edge", "endpoint", "float-endpoint", "float-endpoint-beside-its-vertex", "str-endpoint",
+            "none-endpoint", "int-subclass-vertex", "int-subclass-edge", "int-subclass-endpoint",
+        ],
     )
     def test_rejected(self, vertices, edges, message):
         with pytest.raises(ValueError) as exc:

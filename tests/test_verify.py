@@ -155,6 +155,14 @@ def test_sensitivity_suites_refuse_a_run_without_trials(trials):
         verify.sensitivity_bounds_suite(0, trials)
 
 
+# the labeled simple graphs on up to 4 vertices: 53 of them have at most 3 edges, all 75 at most 6
+@pytest.mark.parametrize("max_edges, size", [(3, 53), (12, 75)])
+def test_the_corpus_keeps_the_small_graphs_up_to_max_edges(max_edges, size):
+    corpus = verify.verification_corpus(max_edges, 0, 0)
+    assert len(corpus) == size
+    assert max(g.edge_count for g in corpus) == min(max_edges, 6)
+
+
 @pytest.mark.parametrize("max_edges", [0, -3])
 def test_verification_refuses_a_corpus_without_edges(max_edges):
     with pytest.raises(ValueError, match="max_edges must be at least 1"):
