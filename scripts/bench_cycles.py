@@ -12,8 +12,8 @@ twice, or a run with no side or no instance, is an error before anything
 runs.  Each side's ``SRC/covercount`` is imported into this interpreter as
 ``covercount_side<i>``, ``i`` its position, so a tree must import its own
 modules relatively.  Each instance (``cycle<n>``, ``grid<r>x<c>``, ``k<n>``,
-``k<a>x<b>``, ``multi<seed>``, ``verify<seed>``, ``text<graph>`` or
-``ring<k>``) runs in ``ROUNDS`` rounds.  ``grid<r>x<c>`` takes its edges,
+``k<a>x<b>``, ``reg<d>n<n>``, ``multi<seed>``, ``verify<seed>``,
+``text<graph>`` or ``ring<k>``) runs in ``ROUNDS`` rounds.  ``grid<r>x<c>`` takes its edges,
 and so its elimination order, from ``perfbench/gen.py``'s ``grid_edges``:
 each vertex's right then down edge, row by row, as perfbench's
 ``dense-deep`` does (records made before this order numbered every
@@ -21,13 +21,18 @@ horizontal edge before every vertical one).
 ``k<a>x<b>`` is the complete bipartite graph K_{a,b}; its b-side
 vertices have degree a and its a-side ones degree b, so ``k2x70`` reaches
 sibling counts past the estimator's per-count tables.
+``reg<d>n<n>`` is the simple d-regular graph on n vertices that
+``perfbench/gen.py``'s ``random_regular_edges(n, d, random.Random(1))``
+draws, edges ascending: perfbench's ``dense-deep`` draws graphs of the
+sizes ``reg4n20`` and ``reg5n12`` from its own seeds.  n * d must be
+even and d below n.
 ``multi<seed>`` is the side's ``random_multigraph(seed, max_vertices=12,
 max_edges=40)``, which has the free, dangling and parallel edges that the
 other families lack.  A round is one run per side, back to back, the first
 side leading in even rounds and the last in odd ones, and each run is one
 row: one untraced call, timed after an untimed ``gc.collect()``, with the
 side's function looked up before it.
-``text<graph>``, for ``graph`` a ``cycle``, ``grid`` or ``k`` instance, is
+``text<graph>``, for ``graph`` a ``cycle``, ``grid``, ``k`` or ``reg`` instance, is
 that graph written by ``perfbench/gen.py``'s ``graph_file_text`` with seed
 ``TEXT_SEED`` (permuted vertex labels, shuffled lines), and ``ring<k>`` the
 ring CNF ``ring_cnf_text(ring_privates(k, Random(k)))``; each row times the
@@ -105,7 +110,7 @@ def perfbench_gen() -> ModuleType:
 
 
 def edge_list(instance: str) -> tuple[int, list[tuple[int, ...]]]:
-    """The vertex count and edge list of a ``cycle``, ``grid`` or ``k`` instance, edge i the list's i-th."""
+    """The vertex count and edge list of a ``cycle``, ``grid``, ``k`` or ``reg`` instance, edge i the list's i-th."""
     gen, name = perfbench_gen(), instance.lower()
     if name.startswith("cycle"):
         n = int(name[5:])
@@ -113,6 +118,9 @@ def edge_list(instance: str) -> tuple[int, list[tuple[int, ...]]]:
     if name.startswith("grid"):
         r, c = (int(tok) for tok in name[4:].split("x"))
         return r * c, gen.grid_edges(r, c)
+    if name.startswith("reg"):
+        d, n = (int(tok) for tok in name[3:].split("n"))
+        return n, gen.random_regular_edges(n, d, random.Random(1))
     if name.startswith("k") and "x" in name:
         a, b = (int(tok) for tok in name[1:].split("x"))
         return a + b, [(i, a + j) for i in range(a) for j in range(b)]
@@ -120,7 +128,7 @@ def edge_list(instance: str) -> tuple[int, list[tuple[int, ...]]]:
         n = int(name[1:])
         return n, gen.complete_edges(n)
     raise ValueError(
-        f"unknown instance {instance!r}; expected cycle<n>, grid<r>x<c>, k<n>, k<a>x<b>, multi<seed>, "
+        f"unknown instance {instance!r}; expected cycle<n>, grid<r>x<c>, k<n>, k<a>x<b>, reg<d>n<n>, multi<seed>, "
         "verify<seed>, ring<k> or text<graph>"
     )
 

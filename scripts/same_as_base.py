@@ -9,12 +9,16 @@ Both trees are imported into one interpreter by ``bench_cycles.py``'s
 
 - ``count <inst>``: the value's hex, node count and marginals digest of
   ``estimate_count(g, 0.2)`` (``bench_cycles.measure``) on cycle12, k5, grid3x3,
-  multi3, multi4 and k2x70, each graph built by the tree's own code.  The
-  multi<seed> graphs have the free, dangling and parallel edges the other
-  families lack, and K_{2,70} sibling counts past the kernel's tables;
+  multi3, multi4, k2x70, k8 and reg4n20, each graph built by the tree's own
+  code.  The multi<seed> graphs have the free, dangling and parallel edges the
+  other families lack, K_{2,70} sibling counts past the kernel's tables, and
+  K8 and the 4-regular reg4n20 (``bench_cycles``' ``reg<d>n<n>``, seed 1) the
+  deep normal roots whose Y and Z families an untraced count walks in one
+  pass, K8's falling back to two walks at their first level;
 - ``traced <inst>``: the same count with a hook on cycle12, k5, grid3x3, multi3,
-  multi4 and multi4s: the sha256 of the hook stream, the node count and the
-  value's hex, so a traced chain, which walks every step, cannot move either.
+  multi4, k8, reg4n20 and multi4s: the sha256 of the hook stream, the node
+  count and the value's hex, so a traced chain, which walks every step and
+  each normal root's Y family before its Z family, cannot move either.
   multi4s is multi4 with each vertex v renamed 10^12 + 7v and each edge e
   renamed 3 + 1000e, built by the side's ``Graph(vertices, edges)``: both maps
   are increasing, so every order is multi4's, but its ids are not 0..k-1, so
@@ -62,8 +66,8 @@ from pathlib import Path
 
 from bench_cycles import build, load, measure, module, perfbench_gen, run_cli
 
-COUNTED = ("cycle12", "k5", "grid3x3", "multi3", "multi4", "k2x70")
-TRACED = ("cycle12", "k5", "grid3x3", "multi3", "multi4")
+COUNTED = ("cycle12", "k5", "grid3x3", "multi3", "multi4", "k2x70", "k8", "reg4n20")
+TRACED = ("cycle12", "k5", "grid3x3", "multi3", "multi4", "k8", "reg4n20")
 CNF_SEED = 1  # the read-twice CNF's clauses
 
 

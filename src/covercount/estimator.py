@@ -27,7 +27,14 @@ in visiting order, and traced and untraced runs take the same path.  The
 kernel folds each child's value, one it made and so in [0, 1/2], into a
 running product in ``dangling_combine``'s order with no range check, so
 a node's value is ``dangling_combine`` of its children's, bit for bit.
-Both frames filter live ends and siblings with plain loops, not
+The two runs part at one place: without a hook, a normal root (u, v)
+walks its Y and Z families in one pass (``_paired``).  They differ only
+in u's other edges, cleared in Y and live in Z, where each is a free
+leaf at its far end; where Y's and Z's sibling counts cost the same
+step, one walk folds every other child into both products in the
+kernel's order, and elsewhere, as at K8's first level, Y and Z are
+walked apart.  A traced root walks Y, then Z, as the reference does.
+All three frames filter live ends and siblings with plain loops, not
 comprehensions: before Python 3.12 a comprehension is a function object
 and a frame per evaluation, and each local it reads becomes a closure
 cell for the whole enclosing frame.
@@ -156,10 +163,13 @@ class _Workspace:
     ``nodes`` counts the computation-tree nodes, one per ``on_node`` call a
     hook would see, walked or kept.  ``ahead`` is None or the
     ``(value, nodes)`` that ``_ahead`` last kept, always for the edge
-    after the root's.
+    after the root's.  In an untraced normal root's Y and Z walk, ``at_u``
+    lists u's other edges and ``near`` (vertex -> count, else all 0) counts
+    them at their far ends.
     """
 
-    __slots__ = ("ids", "ends", "far", "inc", "edge_live", "vert_live", "truncated", "nodes", "on_node", "ahead")
+    __slots__ = ("ids", "ends", "far", "inc", "edge_live", "vert_live", "truncated", "nodes", "on_node", "ahead",
+                 "near", "at_u")
 
     def __init__(self, g: Graph, on_node: Optional[TraceFn] = None):
         emap = g._edges
@@ -184,6 +194,8 @@ class _Workspace:
         self.nodes = 0
         self.on_node = on_node
         self.ahead = None
+        self.near = [0] * len(verts)
+        self.at_u = []
 
     def number(self, e: int) -> int:
         """The number of edge id e; ``KeyError`` if e is not an edge of the graph."""
@@ -240,6 +252,36 @@ def _recurse(ws: _Workspace, e: int, depth: int) -> float:
     x = 1.0  # each child comes back cleared
     for child in at_u:
         x *= _ahead(ws, child, depth) if child == e + 1 else _recurse(ws, child, depth)
+    if on_node is None:  # Y and Z in one walk, in Z's state (see _paired)
+        near = ws.near
+        for child in at_u:
+            edge_live[child] = True
+            near[ws.far[child] ^ u] += 1
+        ws.at_u = at_u
+        y = z = 1.0
+        for child in at_v:
+            w = ws.far[child] ^ v
+            if w == u:  # a parallel copy of e: cleared with u's edges in Y, free in Z
+                ws.nodes += 1
+                z *= 0.5
+            elif child == e + 1:  # walked apart, so that Z's tree is kept for the next step
+                for a in at_u:
+                    edge_live[a] = False
+                y *= _recurse(ws, child, depth)
+                for a in at_u:
+                    edge_live[a] = True
+                z *= _ahead(ws, child, depth)
+            else:  # free in both if its far end is dead or it dangles at v
+                ws.nodes += 2
+                cy, cz = _paired(ws, child, u, w, depth) if vert_live[w] else (0.5, 0.5)
+                y *= cy
+                z *= cz
+        for child in at_u:
+            near[ws.far[child] ^ u] = 0
+        for child in at_v:
+            edge_live[child] = True
+        vert_live[u] = vert_live[v] = True
+        return normal_combine(x, y, z)
     y = 1.0
     for child in at_v:
         if not edge_live[child]:
@@ -314,6 +356,50 @@ def _dangling(ws: _Workspace, e: int, u: int, depth: int) -> float:
         edge_live[child] = True
     vert_live[u] = True
     return (1.0 - prod) / (2.0 - prod)
+
+
+def _paired(ws: _Workspace, e: int, u: int, x: int, depth: int) -> tuple[float, float]:
+    # _dangling for a normal root's Y and Z walks at once, in Z's state: near[x] of x's live edges
+    # are the root's ws.at_u, free leaves absent from Y.  Walked apart where the steps differ.
+    edge_live = ws.edge_live
+    edge_live[e] = False
+    others = []
+    for c in ws.inc[x]:
+        if edge_live[c]:
+            others.append(c)
+    k = len(others)
+    ky = k - ws.near[x]
+    if k >= _TABLE_SIZE or _STEPS[ky] != _STEPS[k]:
+        for c in ws.at_u:
+            edge_live[c] = False
+        y = _dangling(ws, e, x, depth)
+        for c in ws.at_u:
+            edge_live[c] = True
+        return y, _dangling(ws, e, x, depth)
+    ws.nodes += ky + k
+    child_depth = depth - _STEPS[k]
+    if child_depth <= 0:
+        ws.truncated = True
+        return _LEAVES[ky], _LEAVES[k]
+
+    far = ws.far
+    vert_live = ws.vert_live
+    vert_live[x] = False
+    py = pz = 1.0  # _dangling's products, in its order
+    for c in others:
+        w = far[c] ^ x
+        if vert_live[w]:
+            cy, cz = _paired(ws, c, u, w, child_depth)
+            py *= cy
+            pz *= cz
+        else:  # a free leaf, absent from Y if it is one of u's edges
+            pz *= 0.5
+            if w != u:
+                py *= 0.5
+    for c in others:
+        edge_live[c] = True
+    vert_live[x] = True
+    return (1.0 - py) / (2.0 - py), (1.0 - pz) / (2.0 - pz)
 
 
 # Crossing a degree-(k + 1) vertex costs ceil(log6(k + 1)) units of depth, which makes the budget

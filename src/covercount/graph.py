@@ -44,7 +44,7 @@ class Graph:
         adj: dict[int, list[int]] = {}
         for v in vertices:
             if type(v) is not int or v < 0:
-                raise ValueError(f"vertex id must be a nonnegative integer, got {v!r}")
+                raise ValueError(f"vertex id must be a nonnegative integer, got {_shown(v)}")
             if v in adj:
                 raise ValueError(f"duplicate vertex id {v}")
             adj[v] = []
@@ -52,13 +52,13 @@ class Graph:
         emap: dict[int, tuple[int, ...]] = {}
         for eid, ends in edges:
             if type(eid) is not int or eid < 0:
-                raise ValueError(f"edge id must be a nonnegative integer, got {eid!r}")
+                raise ValueError(f"edge id must be a nonnegative integer, got {_shown(eid)}")
             if eid in emap:
                 raise ValueError(f"duplicate edge id {eid}")
             ends = tuple(ends)  # read once: a one-shot iterable would be empty when sorted
             for u in ends:  # 1.0, True or an int subclass equals a vertex id, but format_graph writes its str()
                 if type(u) is not int:
-                    raise ValueError(f"edge {eid} references undeclared vertex {u}")
+                    raise ValueError(f"edge {eid} endpoint must be an integer vertex id, got {_shown(u)}")
             ends = tuple(sorted(ends))
             if len(ends) > 2:
                 raise ValueError(f"edge {eid} has {len(ends)} endpoints, at most 2 allowed")
@@ -170,6 +170,12 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(vertices={list(self._adj)}, edges={self._edges})"
+
+
+def _shown(x) -> str:
+    """``repr(x)``, naming its type unless it is a plain ``int``: an ``int``
+    subclass's ``repr`` is ``int``'s, and ``True`` or ``1.0`` read as ids."""
+    return repr(x) if type(x) is int else f"{x!r} of type {type(x).__name__}"
 
 
 # item tag -> number of integer arguments

@@ -181,8 +181,23 @@ def test_an_unknown_instance_names_every_family(bench):
     with pytest.raises(ValueError) as raised:
         bench.build(bench.load(SRC, 0), "wheel5")
     assert str(raised.value).endswith(
-        "expected cycle<n>, grid<r>x<c>, k<n>, k<a>x<b>, multi<seed>, verify<seed>, ring<k> or text<graph>"
+        "expected cycle<n>, grid<r>x<c>, k<n>, k<a>x<b>, reg<d>n<n>, multi<seed>, verify<seed>, ring<k> or text<graph>"
     )
+
+
+def test_a_regular_instance_is_perfbench_gens_graph_from_seed_1(bench):
+    from covercount import counter
+    from covercount.graph import Graph
+
+    side = bench.load(SRC, 0)
+    g = bench.build(side, "reg4n20")
+    edges = bench.perfbench_gen().random_regular_edges(20, 4, random.Random(1))
+    assert type(g) is bench.module(side, "graph").Graph
+    assert [g.endpoints(e) for e in g.edge_ids] == edges
+    assert all(len(g.incident_edges(v)) == 4 for v in g.vertices)
+    row = bench.measure(side, "reg3n8")
+    result = counter.estimate_count(Graph.from_edges(bench.perfbench_gen().random_regular_edges(8, 3, random.Random(1))), 0.2)
+    assert (row["n"], row["m"], row["nodes"], row["value_hex"]) == (8, 12, result.nodes, result.value.hex())
 
 
 def test_a_complete_bipartite_instance_is_built_by_the_sides_own_graph(bench):

@@ -1,4 +1,5 @@
 import ast
+import collections
 import inspect
 import math
 import random
@@ -10,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import path_graph, random_small_graph, scattered_id_graph, seeded_multigraphs
+from conftest import (
+    complete_bipartite,
+    complete_multigraph,
+    path_graph,
+    random_small_graph,
+    scattered_id_graph,
+    seeded_multigraphs,
+)
 from covercount import estimator, oracle
 from covercount.counter import elimination_chain, estimate_count
 from covercount.estimator import (
@@ -20,7 +28,7 @@ from covercount.estimator import (
     estimate_marginal,
     normal_combine,
 )
-from covercount.generate import random_multigraph
+from covercount.generate import cycle_graph, random_multigraph
 from covercount.graph import EdgeKind, Graph
 from covercount.oracle import exact_count, exact_marginal
 from covercount.verify import FLOAT_SLACK, exhaustive_small_graphs
@@ -367,6 +375,84 @@ class TestNextStepKept:
             assert roots.count(1) == entered + walked
 
 
+class TestPairedWalk:
+    """Untraced, a normal root walks its Y and Z families in one pass; traced, Y and then Z."""
+
+    @staticmethod
+    def branches(monkeypatch) -> collections.Counter:
+        # what each untraced normal root does with each live edge at v, read from the workspace
+        # on entry, and the kernel's fallbacks: any _dangling call made under a _paired frame
+        seen = collections.Counter()
+        recurse, dangling, paired = estimator._recurse, estimator._dangling, estimator._paired
+        inside = 0
+
+        def logged_recurse(ws, e, depth):
+            ends = [w for w in ws.ends[e] if ws.vert_live[w]]
+            if len(ends) == 2 and depth > 0 and ws.on_node is None:
+                u, v = ends
+                for c in ws.inc[v]:
+                    if c != e and ws.edge_live[c]:
+                        w = ws.far[c] ^ v
+                        kind = "paired" if w != v and ws.vert_live[w] else "free"  # v is still live here
+                        seen["parallel" if w == u else "next" if c == e + 1 else kind] += 1
+            return recurse(ws, e, depth)
+
+        def logged_paired(*args):
+            nonlocal inside
+            inside += 1
+            try:
+                return paired(*args)
+            finally:
+                inside -= 1
+
+        def logged_dangling(*args):
+            seen["fallback"] += inside > 0
+            return dangling(*args)
+
+        monkeypatch.setattr(estimator, "_recurse", logged_recurse)
+        monkeypatch.setattr(estimator, "_paired", logged_paired)
+        monkeypatch.setattr(estimator, "_dangling", logged_dangling)
+        return seen
+
+    @pytest.mark.parametrize(
+        "g, depths, reached",
+        [
+            (complete_multigraph(8), range(1, 5), {"fallback", "paired"}),  # Y's 5 siblings cost 1, Z's 6 cost 2
+            (complete_bipartite(2, 70), (2, 3), {"fallback"}),  # 69 siblings, past the step table
+            (random_multigraph(148), range(1, 8), {"parallel", "free", "paired"}),
+            (random_multigraph(258), range(1, 8), {"parallel", "free", "paired", "next"}),
+            (cycle_graph(9), range(1, 8), {"next"}),  # edge e + 1 is the root's one edge at v
+        ],
+        ids=["k8", "k2x70", "multi148", "multi258", "cycle9"],
+    )
+    def test_untraced_traced_and_reference_chains_agree(self, g, depths, reached, monkeypatch):
+        seen = self.branches(monkeypatch)
+        steps = elimination_chain(g)
+        for depth in depths:
+            want, expected, steps_seen = [], [], []  # the reference's hook stream, marginals, and per step
+            for h, e in steps:
+                stream = []
+                expected.append((e, reference_marginal(h, e, depth, lambda *a: stream.append(a)).hex()))
+                steps_seen.append((any(branch == "base" for *_, branch in stream), len(stream)))
+                want += stream
+            got = []
+            for on_node in (None, lambda *a: got.append(a)):
+                marginals, nodes = estimator.chain_marginals(g, depth, on_node)
+                assert [(e, p.hex()) for e, p in marginals] == expected
+                assert nodes == len(want)
+            assert got == want
+            # each step walked untraced on one workspace, none taken from a keep: truncated and nodes
+            ws = estimator._Workspace(g)
+            walked = []
+            for i in range(len(ws.ids)):
+                ws.truncated, nodes = False, ws.nodes
+                assert estimator._recurse(ws, i, depth).hex() == expected[i][1]
+                walked.append((ws.truncated, ws.nodes - nodes))
+                ws.condition(i)
+            assert walked == steps_seen
+        assert reached <= {branch for branch, n in seen.items() if n}
+
+
 class TestScatteredIds:
     """Ids far from 0..m-1 are renumbered inside the workspace and nowhere else."""
 
@@ -531,7 +617,9 @@ class TestFarEndsAndFlags:
 
 
 @pytest.mark.parametrize(
-    "fn", [estimator._recurse, estimator._ahead, estimator._dangling, oracle._step], ids=lambda f: f.__name__
+    "fn",
+    [estimator._recurse, estimator._ahead, estimator._dangling, estimator._paired, oracle._step],
+    ids=lambda f: f.__name__,
 )
 def test_per_node_frames_build_no_nested_function(fn):
     # Before Python 3.12 each of these but a def is a function object and a

@@ -336,20 +336,23 @@ class TestBoolIds:
     @pytest.mark.parametrize(
         "vertices, edges, message",
         [
-            ([True, 2], [(0, (True, 2))], "vertex id must be a nonnegative integer, got True"),
-            ([0, 1], [(False, (0, 1))], "edge id must be a nonnegative integer, got False"),
-            ([0, 1], [(0, (True, 0))], "edge 0 references undeclared vertex True"),
-            ([1, 2], [(0, (1.0, 2))], "edge 0 references undeclared vertex 1.0"),
-            ([0, 1], [(0, (0, 1.0)), (1, (0, 1))], "edge 0 references undeclared vertex 1.0"),
-            ([0, 1], [(0, (0, "x"))], "edge 0 references undeclared vertex x"),
-            ([0, 1], [(0, (0, None))], "edge 0 references undeclared vertex None"),
-            ([One(1), 2], [(0, (One(1), 2))], "vertex id must be a nonnegative integer, got 1"),
-            ([0, 1], [(One(1), (0, 1))], "edge id must be a nonnegative integer, got 1"),
-            ([1, 2], [(0, (One(1), 2))], "edge 0 references undeclared vertex one"),
+            ([True, 2], [(0, (True, 2))], "vertex id must be a nonnegative integer, got True of type bool"),
+            ([0, 1], [(False, (0, 1))], "edge id must be a nonnegative integer, got False of type bool"),
+            ([0, 1], [(0, (True, 0))], "edge 0 endpoint must be an integer vertex id, got True of type bool"),
+            ([1, 2], [(0, (1.0, 2))], "edge 0 endpoint must be an integer vertex id, got 1.0 of type float"),
+            ([0, 1], [(0, (0, 1.0)), (1, (0, 1))], "edge 0 endpoint must be an integer vertex id, got 1.0 of type float"),
+            ([0, 1], [(0, (0, "x"))], "edge 0 endpoint must be an integer vertex id, got 'x' of type str"),
+            ([0, 1], [(0, (0, None))], "edge 0 endpoint must be an integer vertex id, got None of type NoneType"),
+            ([One(1), 2], [(0, (One(1), 2))], "vertex id must be a nonnegative integer, got 1 of type One"),
+            ([0, 1], [(One(1), (0, 1))], "edge id must be a nonnegative integer, got 1 of type One"),
+            ([1, 2], [(0, (One(1), 2))], "edge 0 endpoint must be an integer vertex id, got 1 of type One"),
+            ([-1, 2], [], "vertex id must be a nonnegative integer, got -1"),
+            ([0, 1], [(-2, (0, 1))], "edge id must be a nonnegative integer, got -2"),
         ],
         ids=[
             "vertex", "edge", "endpoint", "float-endpoint", "float-endpoint-beside-its-vertex", "str-endpoint",
             "none-endpoint", "int-subclass-vertex", "int-subclass-edge", "int-subclass-endpoint",
+            "negative-vertex", "negative-edge",
         ],
     )
     def test_rejected(self, vertices, edges, message):
