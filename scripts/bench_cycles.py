@@ -11,9 +11,12 @@ recorded as its path and the sha256 of its ``*.py`` files; a label given
 twice, or a run with no side or no instance, is an error before anything
 runs.  Each side's ``SRC/covercount`` is imported into this interpreter as
 ``covercount_side<i>``, ``i`` its position, so a tree must import its own
-modules relatively.  Each instance (``cycle<n>``, ``grid<r>x<c>``, ``k<n>``,
-``k<a>x<b>``, ``reg<d>n<n>``, ``multi<seed>``, ``verify<seed>``,
-``text<graph>`` or ``ring<k>``) runs in ``ROUNDS`` rounds.  ``grid<r>x<c>`` takes its edges,
+modules relatively.  Each instance (``cycle<n>``, ``path<n>``, ``grid<r>x<c>``,
+``k<n>``, ``k<a>x<b>``, ``reg<d>n<n>``, ``multi<seed>``, ``verify<seed>``,
+``text<graph>`` or ``ring<k>``) runs in ``ROUNDS`` rounds.
+``path<n>`` is the path on n vertices, edge i joining i and i + 1, from
+``perfbench/gen.py``'s ``path_edges``, as ``sparse-text`` counts ``path600``.
+``grid<r>x<c>`` takes its edges,
 and so its elimination order, from ``perfbench/gen.py``'s ``grid_edges``:
 each vertex's right then down edge, row by row, as perfbench's
 ``dense-deep`` does (records made before this order numbered every
@@ -32,7 +35,7 @@ other families lack.  A round is one run per side, back to back, the first
 side leading in even rounds and the last in odd ones, and each run is one
 row: one untraced call, timed after an untimed ``gc.collect()``, with the
 side's function looked up before it.
-``text<graph>``, for ``graph`` a ``cycle``, ``grid``, ``k`` or ``reg`` instance, is
+``text<graph>``, for ``graph`` a ``cycle``, ``path``, ``grid``, ``k`` or ``reg`` instance, is
 that graph written by ``perfbench/gen.py``'s ``graph_file_text`` with seed
 ``TEXT_SEED`` (permuted vertex labels, shuffled lines), and ``ring<k>`` the
 ring CNF ``ring_cnf_text(ring_privates(k, Random(k)))``; each row times the
@@ -110,11 +113,15 @@ def perfbench_gen() -> ModuleType:
 
 
 def edge_list(instance: str) -> tuple[int, list[tuple[int, ...]]]:
-    """The vertex count and edge list of a ``cycle``, ``grid``, ``k`` or ``reg`` instance, edge i the list's i-th."""
+    """The vertex count and edge list of a ``cycle``, ``path``, ``grid``, ``k`` or ``reg`` instance, edge i the
+    list's i-th."""
     gen, name = perfbench_gen(), instance.lower()
     if name.startswith("cycle"):
         n = int(name[5:])
         return n, gen.cycle_edges(n)
+    if name.startswith("path"):
+        n = int(name[4:])
+        return n, gen.path_edges(n)
     if name.startswith("grid"):
         r, c = (int(tok) for tok in name[4:].split("x"))
         return r * c, gen.grid_edges(r, c)
@@ -128,8 +135,8 @@ def edge_list(instance: str) -> tuple[int, list[tuple[int, ...]]]:
         n = int(name[1:])
         return n, gen.complete_edges(n)
     raise ValueError(
-        f"unknown instance {instance!r}; expected cycle<n>, grid<r>x<c>, k<n>, k<a>x<b>, reg<d>n<n>, multi<seed>, "
-        "verify<seed>, ring<k> or text<graph>"
+        f"unknown instance {instance!r}; expected cycle<n>, path<n>, grid<r>x<c>, k<n>, k<a>x<b>, reg<d>n<n>, "
+        "multi<seed>, verify<seed>, ring<k> or text<graph>"
     )
 
 

@@ -8,17 +8,24 @@ Both trees are imported into one interpreter by ``bench_cycles.py``'s
 ``load``, and each writes a report of keyed lines:
 
 - ``count <inst>``: the value's hex, node count and marginals digest of
-  ``estimate_count(g, 0.2)`` (``bench_cycles.measure``) on cycle12, k5, grid3x3,
-  multi3, multi4, k2x70, k8 and reg4n20, each graph built by the tree's own
-  code.  The multi<seed> graphs have the free, dangling and parallel edges the
-  other families lack, K_{2,70} sibling counts past the kernel's tables, and
-  K8 and the 4-regular reg4n20 (``bench_cycles``' ``reg<d>n<n>``, seed 1) the
-  deep normal roots whose Y and Z families an untraced count walks in one
-  pass, K8's falling back to two walks at their first level;
+  ``estimate_count(g, 0.2)``, as ``bench_cycles.measure`` reports them, on
+  cycle12, k5, grid3x3, multi3, multi4, k2x70, k8, reg4n20, path601 and exits,
+  each graph built by the tree's own code.  The multi<seed> graphs have the
+  free, dangling and parallel edges the other families lack, K_{2,70} sibling
+  counts past the kernel's tables, and K8 and the 4-regular reg4n20
+  (``bench_cycles``' ``reg<d>n<n>``, seed 1) the deep normal roots whose Y and
+  Z families an untraced count walks in one pass, K8's falling back to two
+  walks at their first level.  path601 (``bench_cycles``' ``path<n>``, 600
+  edges) is nearly all bare runs, which an untraced dangling root reads from a
+  table, and ``EXITS`` is a graph on which the depth-9 walks of such roots
+  meet a run edge that dangles where it ends and, at the last level, an X
+  sibling cleared when it came back; they are built by the side's
+  ``Graph.from_edges``;
 - ``traced <inst>``: the same count with a hook on cycle12, k5, grid3x3, multi3,
-  multi4, k8, reg4n20 and multi4s: the sha256 of the hook stream, the node
-  count and the value's hex, so a traced chain, which walks every step and
-  each normal root's Y family before its Z family, cannot move either.
+  multi4, k8, reg4n20, path601, exits and multi4s: the sha256 of the hook
+  stream, the node count and the value's hex, so a traced chain, which walks
+  every step and each normal root's Y family before its Z family, cannot move
+  either.
   multi4s is multi4 with each vertex v renamed 10^12 + 7v and each edge e
   renamed 3 + 1000e, built by the side's ``Graph(vertices, edges)``: both maps
   are increasing, so every order is multi4's, but its ids are not 0..k-1, so
@@ -44,7 +51,10 @@ Both trees are imported into one interpreter by ``bench_cycles.py``'s
   ``perfbench/gen.py``'s ``graph_file_text`` (permuted labels, shuffled lines)
   and on multi3 and multi4 with their lines shuffled, some normal edges' ends
   swapped, and comments after items, on lines of their own and after blank
-  lines; ``count --epsilon 0.2`` on multi4s.  multi3's count does not depend
+  lines; ``count --epsilon 0.2`` on multi4s; untraced ``marginal`` on path601
+  at edges 0, 300 and 590 and depths 12, 63 and 64: edge 590's tree reaches
+  the path's end, edge 0's and edge 300's do not, and depth 64 is past the
+  bare-run table.  multi3's count does not depend
   on the order of ``parse_graph``'s tables; multi4's and the grid's do.
   Three runs exit 1 with a one-line error, so their bytes count too:
   ``marginal --edge 999 --depth 2`` on multi3, which has no edge 999;
@@ -64,10 +74,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_cycles import build, load, measure, module, perfbench_gen, run_cli
+from bench_cycles import build, load, module, perfbench_gen, run_cli
 
-COUNTED = ("cycle12", "k5", "grid3x3", "multi3", "multi4", "k2x70", "k8", "reg4n20")
-TRACED = ("cycle12", "k5", "grid3x3", "multi3", "multi4", "k8", "reg4n20")
+COUNTED = ("cycle12", "k5", "grid3x3", "multi3", "multi4", "k2x70", "k8", "reg4n20", "path601")
+TRACED = ("cycle12", "k5", "grid3x3", "multi3", "multi4", "k8", "reg4n20", "path601")
+# edge 0's X children 1 and 2 joined by an 8-edge run, whose walk from 2 meets 1 cleared at its
+# last level, and a 5-edge path from vertex 1 that ends in an edge dangling at vertex 34
+RUN, TAIL = [3, *range(10, 17), 2], [1, *range(30, 35)]
+EXITS = [(0, 1), (0, 2), (0, 3), *zip(RUN, RUN[1:]), *zip(TAIL, TAIL[1:]), (TAIL[-1],)]
 CNF_SEED = 1  # the read-twice CNF's clauses
 
 
@@ -91,7 +105,7 @@ def write_inputs(side, tmp: Path) -> tuple[list[list[str]], dict[str, tuple[list
     scaled = [multi4s_vertex(v) for v in sorted(multi4.vertices)], [
         (multi4s_edge(e), tuple(map(multi4s_vertex, multi4.endpoints(e)))) for e in multi4.edge_ids
     ]
-    for name in ("multi3", "multi4", "k2x70"):
+    for name in ("multi3", "multi4", "k2x70", "path601"):
         (tmp / f"{name}.graph").write_text(graph.format_graph(build(side, name)))
     (tmp / "multi4s.graph").write_text(graph.format_graph(graph.Graph(*scaled)))
     (tmp / "ring.cnf").write_text(gen.ring_cnf_text(gen.ring_privates(60, random.Random(31))))
@@ -130,6 +144,11 @@ def write_inputs(side, tmp: Path) -> tuple[list[list[str]], dict[str, tuple[list
         runs += [["count", str(tmp / name), "--epsilon", "0.2"], ["exact", str(tmp / name)]]
     runs.append(["count", str(tmp / "multi4s.graph"), "--epsilon", "0.2"])
     runs += [
+        ["marginal", str(tmp / "path601.graph"), "--edge", str(e), "--depth", str(d)]
+        for e in (0, 300, 590)
+        for d in (12, 63, 64)
+    ]
+    runs += [
         ["marginal", str(tmp / "multi3.graph"), "--edge", "999", "--depth", "2"],
         ["count", str(tmp / "undeclared.graph"), "--epsilon", "0.2"],
         ["from-cnf", str(tmp / "negative.cnf"), "--epsilon", "0.2"],
@@ -142,12 +161,16 @@ def report(side, runs: list[list[str]], items: dict[str, tuple[list, list]], tmp
     """The side's report lines: its counts, traced counts, the shuffled constructor's count,
     then one or more lines per CLI run."""
     counter, Graph = module(side, "counter"), module(side, "graph").Graph
+    counted = {inst: build(side, inst) for inst in COUNTED}
+    counted["exits"] = Graph.from_edges(EXITS)
     traced = {inst: build(side, inst) for inst in TRACED}
+    traced["exits"] = Graph.from_edges(EXITS)
     traced["multi4s"] = Graph(*items["multi4s"])
     lines = []
-    for inst in COUNTED:
-        row = measure(side, inst)
-        lines.append(f"count {inst}: value {row['value_hex']} nodes {row['nodes']} marginals {row['marginals_sha256']}")
+    for inst, g in counted.items():
+        result = counter.estimate_count(g, 0.2)
+        digest = hashlib.sha256(" ".join(p.hex() for _, p in result.marginals).encode()).hexdigest()
+        lines.append(f"count {inst}: value {result.value.hex()} nodes {result.nodes} marginals {digest}")
     for inst, g in traced.items():
         stream = hashlib.sha256()
 

@@ -27,13 +27,19 @@ in visiting order, and traced and untraced runs take the same path.  The
 kernel folds each child's value, one it made and so in [0, 1/2], into a
 running product in ``dangling_combine``'s order with no range check, so
 a node's value is ``dangling_combine`` of its children's, bit for bit.
-The two runs part at one place: without a hook, a normal root (u, v)
+The two runs part at two places.  Without a hook, a normal root (u, v)
 walks its Y and Z families in one pass (``_paired``).  They differ only
 in u's other edges, cleared in Y and live in Z, where each is a free
 leaf at its far end; where Y's and Z's sibling counts cost the same
 step, one walk folds every other child into both products in the
 kernel's order, and elsewhere, as at K8's first level, Y and Z are
 walked apart.  A traced root walks Y, then Z, as the reference does.
+And without a hook, a root dangling at a vertex with two edges walks the
+run below it first, reading flags only: if each node down to depth 1 has
+one child, each with budget left dangling at a live vertex with two
+edges, the root's value is ``_BARE[depth]`` and its nodes are counted.  A
+cleared edge, one dangling at its vertex, a dead end, another degree or a
+budget past the table stops the walk, and the kernel takes the root.
 All three frames filter live ends and siblings with plain loops, not
 comprehensions: before Python 3.12 a comprehension is a function object
 and a frame per evaluation, and each local it reads becomes a closure
@@ -68,7 +74,7 @@ clears it at every step.  Without a hook, that step takes the kept pair
 and is not walked again; a traced chain walks every step, so its hook
 sees each node where it is visited.  The node count is the size of the
 computation trees, one per ``on_node`` call a hook would see, walked or
-kept.
+kept or counted.
 
 ``depth_sweep(g, e, max_depth)`` gives the estimates at every depth
 0..max_depth.  Error enters only at truncated leaves (``depth <= 0``),
@@ -158,10 +164,10 @@ class _Workspace:
     never entered, so their flags never change: only live vertices' edges
     are read, so a free child, whose ends are all dead, is left live.
     ``truncated`` is set whenever a truncated leaf is reached, by the root
-    dispatch for a root at depth <= 0 and by the kernel for a node whose
+    dispatch at depth <= 0 or for a bare run and by the kernel for a node whose
     children are all truncated, and is never cleared by the recursion.
     ``nodes`` counts the computation-tree nodes, one per ``on_node`` call a
-    hook would see, walked or kept.  ``ahead`` is None or the
+    hook would see, walked, kept or counted.  ``ahead`` is None or the
     ``(value, nodes)`` that ``_ahead`` last kept, always for the edge
     after the root's.  In an untraced normal root's Y and Z walk, ``at_u``
     lists u's other edges and ``near`` (vertex -> count, else all 0) counts
@@ -213,7 +219,7 @@ class _Workspace:
 
 def _recurse(ws: _Workspace, e: int, depth: int) -> float:
     # Root dispatch: every case, once per marginal and once per child of a
-    # normal root.  Every dangling node, root or not, runs in _dangling.
+    # normal root.  Every dangling node but a bare run's runs in _dangling.
     ws.nodes += 1
     edge_live = ws.edge_live
     edge_live[e] = False  # left cleared, as in _dangling: its caller drops e next or sets it again
@@ -233,6 +239,22 @@ def _recurse(ws: _Workspace, e: int, depth: int) -> float:
             on_node(depth, ws.ids[e], EdgeKind.FREE, "free")
         return 0.5
     if len(ends) == 1:
+        if on_node is None and depth < _TABLE_SIZE and len(ws.inc[ends[0]]) == 2:  # a bare run? flags read only
+            far, inc = ws.far, ws.inc
+            c, w, t = e, ends[0], depth
+            while True:
+                a, b = inc[w]
+                b = a if b == c else b  # the other edge at w
+                if not edge_live[b]:
+                    break
+                if t == 1:  # the node at depth 1, whose one child is truncated
+                    ws.nodes += depth
+                    ws.truncated = True
+                    return _BARE[depth]
+                x = far[b] ^ w
+                if x == w or not vert_live[x] or len(inc[x]) != 2:
+                    break
+                c, w, t = b, x, t - 1
         return _dangling(ws, e, ends[0], depth)
 
     if on_node is not None:
@@ -408,6 +430,9 @@ def _paired(ws: _Workspace, e: int, u: int, x: int, depth: int) -> tuple[float, 
 _TABLE_SIZE = 64
 _STEPS = [_ceil_log6(k + 1) for k in range(_TABLE_SIZE)]
 _LEAVES = [dangling_combine([0.5] * k) for k in range(_TABLE_SIZE)]
+_BARE = [0.5]  # per depth d: a bare run of d single-child nodes over a truncated leaf, the kernel's fold
+while len(_BARE) < _TABLE_SIZE:
+    _BARE.append((1.0 - _BARE[-1]) / (2.0 - _BARE[-1]))
 
 
 def estimate_marginal(g: Graph, e: int, depth: int, on_node: Optional[TraceFn] = None) -> float:

@@ -181,8 +181,22 @@ def test_an_unknown_instance_names_every_family(bench):
     with pytest.raises(ValueError) as raised:
         bench.build(bench.load(SRC, 0), "wheel5")
     assert str(raised.value).endswith(
-        "expected cycle<n>, grid<r>x<c>, k<n>, k<a>x<b>, reg<d>n<n>, multi<seed>, verify<seed>, ring<k> or text<graph>"
+        "expected cycle<n>, path<n>, grid<r>x<c>, k<n>, k<a>x<b>, reg<d>n<n>, multi<seed>, verify<seed>, ring<k> or "
+        "text<graph>"
     )
+
+
+def test_a_path_instance_is_perfbench_gens_path(bench):
+    from covercount import counter
+    from covercount.graph import Graph
+
+    side = bench.load(SRC, 0)
+    g = bench.build(side, "path9")
+    assert type(g) is bench.module(side, "graph").Graph
+    assert [g.endpoints(e) for e in g.edge_ids] == bench.perfbench_gen().path_edges(9) == [(i, i + 1) for i in range(8)]
+    row = bench.measure(side, "path9")
+    result = counter.estimate_count(Graph.from_edges([(i, i + 1) for i in range(8)]), 0.2)
+    assert (row["n"], row["m"], row["nodes"], row["value_hex"]) == (9, 8, result.nodes, result.value.hex())
 
 
 def test_a_regular_instance_is_perfbench_gens_graph_from_seed_1(bench):
@@ -232,6 +246,7 @@ def test_a_grid_numbers_its_edges_as_perfbench_does(bench):
         ("textcycle7", ["count"], lambda gen: gen.graph_file_text(7, gen.cycle_edges(7), random.Random(1))),
         ("textgrid2x3", ["count"], lambda gen: gen.graph_file_text(6, gen.grid_edges(2, 3), random.Random(1))),
         ("ring9", ["from-cnf"], lambda gen: gen.ring_cnf_text(gen.ring_privates(9, random.Random(9)))),
+        ("textpath8", ["count"], lambda gen: gen.graph_file_text(8, gen.path_edges(8), random.Random(1))),
     ],
 )
 def test_a_text_row_digests_the_sides_cli_output_on_the_written_file(bench, monkeypatch, tmp_path, instance, argv, text):

@@ -325,6 +325,32 @@ class TestDepthSweep:
             assert 0 < swept < nodes
 
 
+def assert_chains_agree(g: Graph, depth: int) -> None:
+    """The untraced chain, the traced chain and the reference chain agree bit for bit on every
+    marginal, the node count and the hook stream, and each step walked untraced on one workspace,
+    none taken from a keep, agrees with the reference on its value, nodes and truncation."""
+    want, expected, steps_seen = [], [], []  # the reference's hook stream, marginals, and per step
+    for h, e in elimination_chain(g):
+        stream = []
+        expected.append((e, reference_marginal(h, e, depth, lambda *a: stream.append(a)).hex()))
+        steps_seen.append((any(branch == "base" for *_, branch in stream), len(stream)))
+        want += stream
+    got = []
+    for on_node in (None, lambda *a: got.append(a)):
+        marginals, nodes = estimator.chain_marginals(g, depth, on_node)
+        assert [(e, p.hex()) for e, p in marginals] == expected
+        assert nodes == len(want)
+    assert got == want
+    ws = estimator._Workspace(g)
+    walked = []
+    for i in range(len(ws.ids)):
+        ws.truncated, nodes = False, ws.nodes
+        assert estimator._recurse(ws, i, depth).hex() == expected[i][1]
+        walked.append((ws.truncated, ws.nodes - nodes))
+        ws.condition(i)
+    assert walked == steps_seen
+
+
 class TestNextStepKept:
     """A normal root's first X or Z child that is the chain's next edge is that step's whole tree."""
 
@@ -427,30 +453,87 @@ class TestPairedWalk:
     )
     def test_untraced_traced_and_reference_chains_agree(self, g, depths, reached, monkeypatch):
         seen = self.branches(monkeypatch)
-        steps = elimination_chain(g)
         for depth in depths:
-            want, expected, steps_seen = [], [], []  # the reference's hook stream, marginals, and per step
-            for h, e in steps:
-                stream = []
-                expected.append((e, reference_marginal(h, e, depth, lambda *a: stream.append(a)).hex()))
-                steps_seen.append((any(branch == "base" for *_, branch in stream), len(stream)))
-                want += stream
-            got = []
-            for on_node in (None, lambda *a: got.append(a)):
-                marginals, nodes = estimator.chain_marginals(g, depth, on_node)
-                assert [(e, p.hex()) for e, p in marginals] == expected
-                assert nodes == len(want)
-            assert got == want
-            # each step walked untraced on one workspace, none taken from a keep: truncated and nodes
-            ws = estimator._Workspace(g)
-            walked = []
-            for i in range(len(ws.ids)):
-                ws.truncated, nodes = False, ws.nodes
-                assert estimator._recurse(ws, i, depth).hex() == expected[i][1]
-                walked.append((ws.truncated, ws.nodes - nodes))
-                ws.condition(i)
-            assert walked == steps_seen
+            assert_chains_agree(g, depth)
         assert reached <= {branch for branch, n in seen.items() if n}
+
+
+def bare_exit(ws, e: int, u: int, depth: int) -> str:
+    # where the walk of an untraced root e dangling at u, a vertex with two edges, ends, read from the
+    # workspace on entry: at the table, or at the first exit it meets
+    if depth >= estimator._TABLE_SIZE:
+        return "past the table"
+    came, w, t = e, u, depth
+    while True:
+        (b,) = (x for x in ws.inc[w] if x != came)
+        if not ws.edge_live[b]:
+            return "cleared"
+        if t == 1:
+            return "table"
+        x = ws.far[b] ^ w
+        if x == w:
+            return "dangles"
+        if not ws.vert_live[x]:
+            return "dead"
+        if len(ws.inc[x]) != 2:
+            return "end" if len(ws.inc[x]) == 1 else "branch"
+        came, w, t = b, x, t - 1
+
+
+class TestBareRun:
+    """Untraced, a dangling root whose tree is a bare run of single-child nodes is answered from a table."""
+
+    @staticmethod
+    def exits(monkeypatch) -> collections.Counter:
+        seen = collections.Counter()
+        recurse = estimator._recurse
+
+        def logged(ws, e, depth):
+            ends = [w for w in ws.ends[e] if ws.vert_live[w]]
+            if len(ends) == 1 and depth > 0 and ws.on_node is None and len(ws.inc[ends[0]]) == 2:
+                seen[bare_exit(ws, e, ends[0], depth)] += 1
+            return recurse(ws, e, depth)
+
+        monkeypatch.setattr(estimator, "_recurse", logged)
+        return seen
+
+    def test_the_table_is_the_kernel_fold(self):
+        p = 0.5
+        for d in range(estimator._TABLE_SIZE):
+            assert estimator._BARE[d].hex() == p.hex()
+            p = dangling_combine([p])
+        assert estimator._BARE[1] == estimator._LEAVES[1]
+
+    @pytest.mark.parametrize(
+        "edges, depths, reached",
+        [
+            ([(i, i + 1) for i in range(11)], range(1, 9), {"table"}),
+            ([(i, i + 1) for i in range(5)], range(1, 9), {"table", "end"}),
+            ([(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)], range(1, 9), {"branch"}),  # vertex 3 has three edges
+            ([(i, (i + 1) % 9) for i in range(9)], range(1, 9), {"dead"}),  # the last steps run into vertex 0
+            ([(0, 1), (1, 2), (2, 3), (3,)], range(1, 9), {"table", "dangles"}),  # edge 3 dangles at vertex 3
+            # edge 0's X children 1 and 2: 2's run meets 1 at vertex 2, cleared as it came back
+            ([(0, 1), (0, 2), (0, 3), (3, 4), (2, 4), (1, 5)], range(1, 9), {"dead", "cleared"}),
+            ([(0, 1), (0, 2), (0, 2), (1, 3)], range(1, 6), {"table", "dead", "cleared"}),  # a parallel pair at 2
+            ([(i, i + 1) for i in range(70)], (63, 64, 66), {"table", "past the table"}),
+        ],
+        ids=["truncated", "end", "branch", "dead", "dangles", "cleared", "parallel", "past-table"],
+    )
+    def test_untraced_traced_and_reference_chains_agree(self, edges, depths, reached, monkeypatch):
+        seen = self.exits(monkeypatch)
+        g = Graph.from_edges(edges)
+        for depth in depths:
+            assert_chains_agree(g, depth)
+        assert reached <= {name for name, n in seen.items() if n}
+
+    def test_depth_sweep_on_a_long_path_matches_each_depth(self):
+        # a dangling root (edge 0), normal roots at the ends and in the middle; the sweep stops at the
+        # first depth with no truncated leaf, so a run answered from the table must report its truncation
+        g = Graph.from_edges([(0,)] + [(i, i + 1) for i in range(60)])
+        for e in (0, 1, 2, 30, 60):
+            sweep = depth_sweep(g, e, 70)
+            assert [x.hex() for x in sweep] == [estimate_marginal(g, e, L).hex() for L in range(71)]
+            assert sweep[62] == reference_marginal(g, e, 62)
 
 
 class TestScatteredIds:
